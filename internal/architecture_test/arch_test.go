@@ -47,7 +47,7 @@ var rules = []rule{
 		Name: "foundation-below-execution",
 		Why:  "byte-level foundations must stay reusable outside the engine",
 		From: []string{"frame", "kvenc", "substrate", "bytestore", "hashfam",
-			"frequent", "sim", "metrics", "model", "cost"},
+			"frequent", "sim", "metrics", "model", "cost", "seglog"},
 		Deny: []string{"engine", "realexec", "sched", "serve", "ingest", "jobstore"},
 	},
 	{
@@ -253,6 +253,7 @@ func TestPlantedViolationsAreCaught(t *testing.T) {
 		{"engine imports sched", "internal/engine/bad.go", "sched"},
 		{"serve imports jobstore", "internal/serve/bad.go", "jobstore"},
 		{"ingest imports serve", "internal/ingest/bad.go", "serve"},
+		{"seglog imports ingest", "internal/seglog/bad.go", "ingest"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -269,10 +270,11 @@ func TestPlantedViolationsAreCaught(t *testing.T) {
 
 	// And a legal tree yields no findings.
 	legal := fileImports{
-		"internal/sched/store.go":  {"jobstore", "engine"},
-		"internal/serve/jobs.go":   {"sched", "ingest"},
-		"internal/engine/job.go":   {"core", "sim", "frame"},
-		"internal/jobstore/log.go": {"frame"},
+		"internal/sched/store.go":   {"jobstore", "engine"},
+		"internal/serve/jobs.go":    {"sched", "ingest"},
+		"internal/engine/job.go":    {"core", "sim", "frame"},
+		"internal/jobstore/log.go":  {"seglog"},
+		"internal/seglog/seglog.go": {"frame"},
 	}
 	if got := violations(legal); len(got) != 0 {
 		t.Fatalf("legal tree flagged: %v", got)

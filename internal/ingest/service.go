@@ -1,3 +1,22 @@
+// Package ingest implements the durable side of onepassd, the
+// long-running ingestion + query service: a CRC32C-framed write-ahead
+// log of event batches, a resident incremental fold of those batches
+// through an mr.Incremental query (the INC/DINC techniques of §4.2–4.3
+// running as a service instead of a job), checkpoint images of the
+// fold state beside the WAL, and crash recovery that restores the
+// newest good checkpoint and replays only the post-checkpoint WAL
+// suffix — bit-identical to a run that was never interrupted. The log
+// discipline (segments, seal, torn-tail rule, checkpoint chain and
+// retention) is internal/seglog's; this package owns the batch and
+// checkpoint codecs on top of it.
+//
+// Durability contract: a batch is acknowledged (2xx) only after its
+// frame is fsynced into the open WAL segment. Acknowledged batches
+// survive kill -9; unacknowledged ones may be lost (torn tails are
+// truncated on recovery) and clients retry them. Folding is
+// asynchronous behind a byte-bounded queue: when the budget is
+// exhausted the service sheds load with ErrOverloaded instead of
+// growing memory.
 package ingest
 
 import (
@@ -5,12 +24,11 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/frame"
 	"repro/internal/mr"
+	"repro/internal/seglog"
 )
 
 // Sentinel errors surfaced to the HTTP layer.
@@ -105,9 +123,6 @@ type RecoveryInfo struct {
 	CheckpointsDiscardedCorrupt int64 `json:"checkpoints_discarded_corrupt"`
 }
 
-// ckptRef remembers a durable checkpoint's identity for retention.
-type ckptRef struct{ seq, seg int64 }
-
 // pending is one acknowledged batch waiting to be folded.
 type pending struct {
 	seq      int64
@@ -124,7 +139,8 @@ type Ingester struct {
 	folder *folder
 
 	mu       sync.Mutex // serializes WAL appends + seq assignment + lifecycle
-	w        *wal
+	w        *seglog.Writer
+	buf      []byte // batch payload scratch, under mu
 	nextSeq  int64
 	draining bool
 	closed   bool  // queue closed
@@ -143,7 +159,7 @@ type Ingester struct {
 	// read by Drain after foldDone closes.
 	lastSeg, lastOff int64
 	lastCkptSeq      int64
-	ckptMeta         []ckptRef
+	chain            *seglog.Chain
 
 	m metrics
 
@@ -184,13 +200,20 @@ func Open(cfg Config) (*Ingester, error) {
 		foldDone: make(chan struct{}),
 	}
 
-	ck, torn, corrupt, err := loadCheckpointChain(cfg.Dir)
+	s.chain = &seglog.Chain{
+		Log:    seglog.Log{Dir: cfg.Dir, Segs: segNames, Images: ckptNames},
+		Retain: cfg.RetainCheckpoints,
+	}
+	if cfg.Fail != nil {
+		s.chain.TornWrite = cfg.Fail.TornCheckpoint
+	}
+	ck, torn, corrupt, err := seglog.LoadChain(s.chain, decodeCheckpoint)
 	if err != nil {
 		return nil, err
 	}
 	s.Recovery.CheckpointsDiscardedTorn = torn
 	s.Recovery.CheckpointsDiscardedCorrupt = corrupt
-	startSeg, startOff := int64(1), int64(0)
+	var startSeg, startOff int64
 	if ck != nil {
 		if err := f.restore(ck); err != nil {
 			return nil, err
@@ -200,91 +223,36 @@ func Open(cfg Config) (*Ingester, error) {
 		s.Recovery.RestoredSeg = ck.Seg
 		s.Recovery.RestoredOff = ck.Off
 		s.lastCkptSeq = ck.Seq
-		s.ckptMeta = append(s.ckptMeta, ckptRef{ck.Seq, ck.Seg})
-	}
-
-	segs, err := listSegments(cfg.Dir)
-	if err != nil {
-		return nil, err
-	}
-	if len(segs) == 0 {
-		if ck != nil {
-			return nil, fmt.Errorf("ingest: checkpoint %d references segment %s but the WAL is empty", ck.Seq, segName(ck.Seg))
-		}
-	} else if ck == nil {
-		startSeg = segs[0]
 	}
 
 	expected := f.foldedBatches + 1
-	lastSeg, lastEnd := startSeg, startOff
-	sawStart := len(segs) == 0 // vacuously fine on a fresh directory
-	prev := int64(-1)
-	for _, idx := range segs {
-		if idx < startSeg {
-			if st, err := os.Stat(filepath.Join(cfg.Dir, segName(idx))); err == nil {
-				s.Recovery.SkippedSegmentBytes += st.Size()
-			}
-			continue
-		}
-		if idx == startSeg {
-			sawStart = true
-		} else if prev >= 0 && idx != prev+1 {
-			return nil, fmt.Errorf("ingest: WAL gap: segment %s follows %s", segName(idx), segName(prev))
-		}
-		prev = idx
-
-		off0 := int64(0)
-		if idx == startSeg {
-			off0 = startOff
-		}
-		path := filepath.Join(cfg.Dir, segName(idx))
-		data, err := readSuffix(path, off0)
+	lastSeg, lastEnd, st, err := s.chain.Replay(startSeg, startOff, func(p []byte) error {
+		seq, recs, err := decodeBatch(p)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		s.Recovery.RecoveryReadBytes += int64(len(data))
-		var replayErr error
-		res := frame.ScanTail(data, func(p []byte) {
-			if replayErr != nil {
-				return
-			}
-			seq, recs, err := decodeBatch(p)
-			if err != nil {
-				replayErr = fmt.Errorf("%w (segment %s)", err, segName(idx))
-				return
-			}
-			if seq != expected {
-				replayErr = fmt.Errorf("ingest: WAL replay expected batch %d, found %d in %s", expected, seq, segName(idx))
-				return
-			}
-			f.fold(seq, recs)
-			s.Recovery.ReplayedBatches++
-			s.Recovery.ReplayedRecords += int64(len(recs))
-			expected++
-		})
-		if replayErr != nil {
-			return nil, replayErr
+		if seq != expected {
+			return fmt.Errorf("ingest: WAL replay expected batch %d, found %d", expected, seq)
 		}
-		last := idx == segs[len(segs)-1]
-		switch {
-		case res.Reason == frame.ScanClean:
-		case last && res.Reason == frame.ScanTorn:
-			if err := os.Truncate(path, off0+res.Good); err != nil {
-				return nil, err
-			}
-			s.Recovery.TornTailsTruncated++
-		default:
-			return nil, &SegmentError{Segment: segName(idx), Offset: off0 + res.Good, Reason: res.Reason}
-		}
-		lastSeg, lastEnd = idx, off0+res.Good
-	}
-	if !sawStart {
-		return nil, fmt.Errorf("ingest: checkpoint %d references missing segment %s", s.Recovery.RestoredSeq, segName(startSeg))
-	}
-
-	w, err := openWALAt(cfg.Dir, lastSeg, lastEnd, cfg.SealBytes, cfg.Fail)
+		f.fold(seq, recs)
+		s.Recovery.ReplayedBatches++
+		s.Recovery.ReplayedRecords += int64(len(recs))
+		expected++
+		return nil
+	})
 	if err != nil {
 		return nil, err
+	}
+	s.Recovery.RecoveryReadBytes = st.ReadBytes
+	s.Recovery.SkippedSegmentBytes = st.SkippedBytes
+	s.Recovery.TornTailsTruncated = st.TornTailsTruncated
+
+	w, err := s.chain.OpenWriter(lastSeg, lastEnd, cfg.SealBytes)
+	if err != nil {
+		return nil, err
+	}
+	if fp := cfg.Fail; fp != nil {
+		w.TornAppend, w.BeforeSync, w.BeforeSeal = fp.TornAppend, fp.BeforeAppendSync, fp.BeforeSeal
 	}
 	s.w = w
 	s.nextSeq = expected
@@ -343,7 +311,8 @@ func (s *Ingester) Ingest(records [][]byte) (int64, error) {
 		return 0, ErrOverloaded
 	}
 	seq := s.nextSeq
-	seg, off, err := s.w.append(seq, records)
+	s.buf = appendBatch(s.buf[:0], seq, records)
+	seg, off, err := s.w.Append(seq, s.buf)
 	if err != nil {
 		s.inflight.Add(-size)
 		s.wedgeLocked(err)
@@ -394,22 +363,13 @@ func (s *Ingester) foldLoop() {
 func (s *Ingester) writeCkpt(seg, off int64) error {
 	ck := s.folder.snapshot()
 	ck.Seg, ck.Off = seg, off
-	n, err := writeCheckpoint(s.cfg.Dir, ck, s.cfg.Fail)
+	n, err := s.chain.Write(ck.Ref(), encodeCheckpoint(ck))
 	if err != nil {
 		return err
 	}
 	s.m.checkpoints.Add(1)
 	s.m.checkpointBytes.Add(n)
 	s.lastCkptSeq = ck.Seq
-	s.ckptMeta = append(s.ckptMeta, ckptRef{ck.Seq, ck.Seg})
-	if len(s.ckptMeta) > s.cfg.RetainCheckpoints {
-		s.ckptMeta = s.ckptMeta[len(s.ckptMeta)-s.cfg.RetainCheckpoints:]
-	}
-	segs := make([]int64, len(s.ckptMeta))
-	for i, r := range s.ckptMeta {
-		segs[i] = r.seg
-	}
-	pruneCheckpoints(s.cfg.Dir, s.cfg.RetainCheckpoints, segs)
 	return nil
 }
 
@@ -449,11 +409,11 @@ func (s *Ingester) Drain(ctx context.Context) error {
 			return err
 		}
 	}
-	if err := s.w.seal(); err != nil {
+	if err := s.w.Seal(); err != nil {
 		s.wedgeLocked(err)
 		return err
 	}
-	if err := s.w.close(); err != nil {
+	if err := s.w.Close(); err != nil {
 		s.wedgeLocked(err)
 		return err
 	}
@@ -473,7 +433,7 @@ func (s *Ingester) Abort() {
 		s.closed = true
 		close(s.queue)
 	}
-	s.w.abort()
+	s.w.Abort()
 	s.mu.Unlock()
 	<-s.foldDone
 }
@@ -560,11 +520,11 @@ func (s *Ingester) Metrics() MetricsSnapshot {
 	}
 	s.mu.Lock()
 	if s.w != nil {
-		snap.WALSegment = s.w.seg
-		snap.WALOffset = s.w.off
-		snap.WALSeals = s.w.seals
-		snap.WALSyncs = s.w.syncs
-		snap.WALAppendedBytes = s.w.appendedBytes
+		snap.WALSegment = s.w.Seg
+		snap.WALOffset = s.w.Off
+		snap.WALSeals = s.w.Seals
+		snap.WALSyncs = s.w.Syncs
+		snap.WALAppendedBytes = s.w.AppendedBytes
 	}
 	snap.Draining = s.draining
 	if s.failErr != nil {

@@ -1,11 +1,11 @@
 // Package jobstore is the embedded durable store behind the job
 // scheduler (internal/sched): a bolt-style bucket/key/value store
-// whose persistence layer reuses the service WAL discipline proven in
-// internal/ingest — CRC32C-framed append-log segments (one frame per
+// persisted through internal/seglog, the segment log it shares with
+// the ingest WAL — CRC32C-framed append-log segments (one frame per
 // committed transaction, fsynced before the commit returns), periodic
-// compacted snapshots of the full bucket state, and recovery through
-// frame.ScanTail, the one audited tail scanner shared with the WAL and
-// checkpoint repair paths.
+// compacted snapshots of the full bucket state as seglog images, and
+// suffix-only replay. This package owns the commit and snapshot codecs
+// on top of it.
 //
 // Durability contract: when Update returns nil, the transaction's
 // frame is fsynced in the open log segment and survives kill -9.
@@ -28,6 +28,8 @@ import (
 	"os"
 	"sort"
 	"sync"
+
+	"repro/internal/seglog"
 )
 
 // Sentinel errors.
@@ -120,7 +122,9 @@ type Store struct {
 	cfg Config
 
 	mu      sync.Mutex
-	log     *logWriter
+	log     *seglog.Writer
+	chain   *seglog.Chain
+	buf     []byte // commit payload scratch
 	buckets map[string]*bucket
 	names   []string // bucket creation order
 	nextTx  int64
@@ -128,7 +132,7 @@ type Store struct {
 	closed  bool
 	failErr error // wedged: every later Update refuses
 
-	snapMeta []snapRef // retained snapshot identities, oldest first
+	snapshots, snapshotBytes int64
 
 	// Recovery reports what Open did; immutable afterwards.
 	Recovery RecoveryInfo
@@ -290,7 +294,8 @@ func (s *Store) Update(fn func(tx *Tx) error) error {
 		return ferr
 	}
 	txid := s.nextTx
-	if err := s.log.commit(txid, tx.ops); err != nil {
+	s.buf = appendCommit(s.buf[:0], txid, tx.ops)
+	if _, _, err := s.log.Append(txid, s.buf); err != nil {
 		s.wedge(err)
 		return err
 	}
@@ -355,16 +360,16 @@ func (s *Store) Close() error {
 	}
 	s.closed = true
 	if s.failErr != nil {
-		s.log.abort()
+		s.log.Abort()
 		return s.failErr
 	}
 	if s.cfg.CompactEvery > 0 && s.commits > 0 {
 		if err := s.compactLocked(); err != nil {
-			s.log.abort()
+			s.log.Abort()
 			return err
 		}
 	}
-	return s.log.close()
+	return s.log.Close()
 }
 
 // Abort simulates the process dying in place (tests): the log file is
@@ -377,7 +382,7 @@ func (s *Store) Abort() {
 		return
 	}
 	s.closed = true
-	s.log.abort()
+	s.log.Abort()
 }
 
 // Dump returns the full store contents as bucket → key → value, plus
@@ -434,13 +439,13 @@ func (s *Store) Metrics() Metrics {
 		Recovery: s.Recovery,
 	}
 	if s.log != nil {
-		m.LogSegment = s.log.seg
-		m.LogOffset = s.log.off
-		m.LogSyncs = s.log.syncs
-		m.LogAppendedBytes = s.log.appendedBytes
-		m.Snapshots = s.log.snapshots
-		m.SnapshotBytes = s.log.snapshotBytes
+		m.LogSegment = s.log.Seg
+		m.LogOffset = s.log.Off
+		m.LogSyncs = s.log.Syncs
+		m.LogAppendedBytes = s.log.AppendedBytes
 	}
+	m.Snapshots = s.snapshots
+	m.SnapshotBytes = s.snapshotBytes
 	if s.failErr != nil {
 		m.Wedged = s.failErr.Error()
 	}

@@ -4,17 +4,17 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
 
-	"repro/internal/frame"
+	"repro/internal/seglog"
 )
 
-// ErrCrash is returned by injected failpoints to simulate the process
-// dying at that exact point. The store wedges itself when it surfaces;
-// the crash harness then reopens the directory like a fresh process.
-var ErrCrash = errors.New("jobstore: injected crash")
+// ErrCrash is returned by injected failpoints; the store wedges when it
+// surfaces. See seglog.ErrCrash.
+var ErrCrash = seglog.ErrCrash
+
+// SegmentError reports a damaged log segment that recovery refuses to
+// repair silently; see seglog.SegmentError.
+type SegmentError = seglog.SegmentError
 
 // ErrBadCommit reports a log frame whose CRC verified but whose
 // payload does not decode — a software bug or damage beyond CRC32C's
@@ -37,51 +37,16 @@ type Failpoints struct {
 	TornSnapshot func(txid int64) int
 }
 
-const (
-	segPrefix  = "log-"
-	segExt     = ".seg"
-	snapPrefix = "snap-"
-	snapExt    = ".sn"
+// The store directory: segments log-%08d.seg, snapshots snap-%016d.sn.
+var (
+	segNames  = seglog.Names{Prefix: "log-", Ext: ".seg", Digits: 8}
+	snapNames = seglog.Names{Prefix: "snap-", Ext: ".sn", Digits: 16}
 )
 
-func segName(idx int64) string   { return fmt.Sprintf("log-%08d.seg", idx) }
-func snapName(txid int64) string { return fmt.Sprintf("snap-%016d.sn", txid) }
-
-// parseIndexed extracts the decimal index out of "prefix<idx>ext".
-func parseIndexed(name, prefix, ext string) (int64, bool) {
-	if len(name) <= len(prefix)+len(ext) ||
-		name[:len(prefix)] != prefix || name[len(name)-len(ext):] != ext {
-		return 0, false
-	}
-	var idx int64
-	for _, c := range name[len(prefix) : len(name)-len(ext)] {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		idx = idx*10 + int64(c-'0')
-	}
-	return idx, true
-}
-
-// listIndexed returns the sorted indexes of dir entries matching
-// prefix<idx>ext.
-func listIndexed(dir, prefix, ext string) ([]int64, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var idxs []int64
-	for _, e := range entries {
-		if idx, ok := parseIndexed(e.Name(), prefix, ext); ok {
-			idxs = append(idxs, idx)
-		}
-	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	return idxs, nil
-}
-
-func listSegments(dir string) ([]int64, error)  { return listIndexed(dir, segPrefix, segExt) }
-func listSnapshots(dir string) ([]int64, error) { return listIndexed(dir, snapPrefix, snapExt) }
+func segName(idx int64) string                  { return segNames.Name(idx) }
+func snapName(txid int64) string                { return snapNames.Name(txid) }
+func listSegments(dir string) ([]int64, error)  { return segNames.List(dir) }
+func listSnapshots(dir string) ([]int64, error) { return snapNames.List(dir) }
 
 // Op kinds inside a commit payload.
 const (
@@ -99,7 +64,8 @@ type op struct {
 	seq    uint64
 }
 
-// Commit payload layout, carried as one CRC32C frame per transaction:
+// Commit payload layout, carried as one seglog record (one CRC32C
+// frame) per transaction:
 //
 //	[txid uvarint][nops uvarint]
 //	  per op: [kind 1B][blen uvarint][bucket]
@@ -110,27 +76,17 @@ type op struct {
 // txid is 1-based and contiguous across segments; recovery asserts
 // contiguity so a lost sealed segment can never be skipped silently.
 func appendCommit(dst []byte, txid int64, ops []op) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	put := func(v uint64) {
-		dst = append(dst, tmp[:binary.PutUvarint(tmp[:], v)]...)
-	}
-	put(uint64(txid))
-	put(uint64(len(ops)))
+	dst = binary.AppendUvarint(dst, uint64(txid))
+	dst = binary.AppendUvarint(dst, uint64(len(ops)))
 	for _, o := range ops {
-		dst = append(dst, o.kind)
-		put(uint64(len(o.bucket)))
-		dst = append(dst, o.bucket...)
+		dst = appendBytes(append(dst, o.kind), o.bucket)
 		switch o.kind {
 		case opPut:
-			put(uint64(len(o.key)))
-			dst = append(dst, o.key...)
-			put(uint64(len(o.val)))
-			dst = append(dst, o.val...)
+			dst = appendBytes(appendBytes(dst, o.key), o.val)
 		case opDelete:
-			put(uint64(len(o.key)))
-			dst = append(dst, o.key...)
+			dst = appendBytes(dst, o.key)
 		case opSeq:
-			put(o.seq)
+			dst = binary.AppendUvarint(dst, o.seq)
 		}
 	}
 	return dst
@@ -138,69 +94,74 @@ func appendCommit(dst []byte, txid int64, ops []op) []byte {
 
 // decodeCommit parses one commit payload. Byte slices alias p.
 func decodeCommit(p []byte) (txid int64, ops []op, err error) {
-	next := func() (uint64, bool) {
-		v, n := binary.Uvarint(p)
-		if n <= 0 {
-			return 0, false
-		}
-		p = p[n:]
-		return v, true
-	}
-	str := func() (string, bool) {
-		ln, ok := next()
-		if !ok || ln > uint64(len(p)) {
-			return "", false
-		}
-		s := string(p[:ln])
-		p = p[ln:]
-		return s, true
-	}
-	u, ok := next()
-	if !ok {
-		return 0, nil, ErrBadCommit
-	}
-	txid = int64(u)
-	nops, ok := next()
-	if !ok || nops > uint64(len(p))+1 {
+	r := reader{p: p, ok: true}
+	txid = int64(r.uvarint())
+	nops := r.uvarint()
+	if !r.ok || nops > uint64(len(r.p))+1 {
 		return 0, nil, ErrBadCommit
 	}
 	ops = make([]op, 0, nops)
 	for i := uint64(0); i < nops; i++ {
-		if len(p) == 0 {
+		if len(r.p) == 0 {
 			return 0, nil, ErrBadCommit
 		}
-		o := op{kind: p[0]}
-		p = p[1:]
-		if o.bucket, ok = str(); !ok {
-			return 0, nil, ErrBadCommit
-		}
+		o := op{kind: r.p[0]}
+		r.p = r.p[1:]
+		o.bucket = string(r.bytes())
 		switch o.kind {
 		case opPut:
-			if o.key, ok = str(); !ok {
-				return 0, nil, ErrBadCommit
-			}
-			var v string
-			if v, ok = str(); !ok {
-				return 0, nil, ErrBadCommit
-			}
-			o.val = []byte(v)
+			o.key = string(r.bytes())
+			o.val = r.bytes()
 		case opDelete:
-			if o.key, ok = str(); !ok {
-				return 0, nil, ErrBadCommit
-			}
+			o.key = string(r.bytes())
 		case opSeq:
-			if o.seq, ok = next(); !ok {
-				return 0, nil, ErrBadCommit
-			}
+			o.seq = r.uvarint()
 		default:
 			return 0, nil, fmt.Errorf("%w: op kind %d", ErrBadCommit, o.kind)
 		}
+		if !r.ok {
+			return 0, nil, ErrBadCommit
+		}
 		ops = append(ops, o)
 	}
-	if len(p) != 0 {
-		return 0, nil, fmt.Errorf("%w: %d trailing bytes", ErrBadCommit, len(p))
+	if len(r.p) != 0 {
+		return 0, nil, fmt.Errorf("%w: %d trailing bytes", ErrBadCommit, len(r.p))
 	}
 	return txid, ops, nil
+}
+
+// appendBytes appends b with its uvarint length prefix.
+func appendBytes[B ~string | ~[]byte](dst []byte, b B) []byte {
+	return append(binary.AppendUvarint(dst, uint64(len(b))), b...)
+}
+
+// reader decodes uvarints and length-prefixed byte strings; ok turns
+// false at the first field that does not decode and stays false.
+type reader struct {
+	p  []byte
+	ok bool
+}
+
+func (r *reader) uvarint() uint64 {
+	v, n := binary.Uvarint(r.p)
+	if n <= 0 {
+		r.ok = false
+		return 0
+	}
+	r.p = r.p[n:]
+	return v
+}
+
+// bytes returns the next length-prefixed field, aliasing the input.
+func (r *reader) bytes() []byte {
+	ln := r.uvarint()
+	if !r.ok || ln > uint64(len(r.p)) {
+		r.ok = false
+		return nil
+	}
+	b := r.p[:ln:ln]
+	r.p = r.p[ln:]
+	return b
 }
 
 // apply replays one decoded op into the bucket state.
@@ -214,170 +175,4 @@ func (s *Store) apply(o op) {
 	case opSeq:
 		b.seq = o.seq
 	}
-}
-
-// logWriter is the open append log: an append-only file per segment,
-// one CRC32C frame per committed transaction, fsynced before the
-// commit is acknowledged. Single-writer under the Store mutex.
-type logWriter struct {
-	dir       string
-	sealBytes int64
-	fail      *Failpoints
-
-	f   *os.File
-	seg int64 // open segment index
-	off int64 // bytes in the open segment
-
-	buf  []byte // commit payload scratch
-	fbuf []byte // framed scratch
-
-	seals, syncs, appendedBytes int64
-	snapshots, snapshotBytes    int64
-}
-
-// openLogAt opens segment seg for appending at offset off (creating it
-// if absent) — recovery hands the last segment's verified end, a fresh
-// directory hands (1, 0).
-func openLogAt(dir string, seg, off, sealBytes int64, fail *Failpoints) (*logWriter, error) {
-	f, err := os.OpenFile(filepath.Join(dir, segName(seg)), os.O_WRONLY|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := f.Seek(off, 0); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &logWriter{dir: dir, sealBytes: sealBytes, fail: fail, f: f, seg: seg, off: off}, nil
-}
-
-// commit frames one transaction, writes and fsyncs it — the
-// acknowledgment point — and rolls the segment when it crosses the
-// seal size.
-func (w *logWriter) commit(txid int64, ops []op) error {
-	w.buf = appendCommit(w.buf[:0], txid, ops)
-	w.fbuf = frame.Append(w.fbuf[:0], w.buf)
-	if fp := w.fail; fp != nil && fp.TornCommit != nil {
-		if n := fp.TornCommit(txid); n >= 0 {
-			if n > len(w.fbuf) {
-				n = len(w.fbuf)
-			}
-			w.f.Write(w.fbuf[:n])
-			w.f.Sync()
-			return fmt.Errorf("torn commit of tx %d: %w", txid, ErrCrash)
-		}
-	}
-	if _, err := w.f.Write(w.fbuf); err != nil {
-		return err
-	}
-	if fp := w.fail; fp != nil && fp.BeforeCommitSync != nil {
-		if err := fp.BeforeCommitSync(txid); err != nil {
-			return err
-		}
-	}
-	if err := w.f.Sync(); err != nil {
-		return err
-	}
-	w.syncs++
-	w.appendedBytes += int64(len(w.fbuf))
-	w.off += int64(len(w.fbuf))
-	if w.off >= w.sealBytes {
-		if err := w.seal(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// seal syncs and closes the open segment and opens the next one.
-// Sealed segments are immutable: recovery treats any damage in them as
-// corruption, never as a trimmable torn tail.
-func (w *logWriter) seal() error {
-	if err := w.f.Sync(); err != nil {
-		return err
-	}
-	if err := w.f.Close(); err != nil {
-		return err
-	}
-	w.seals++
-	w.seg++
-	w.off = 0
-	f, err := os.OpenFile(filepath.Join(w.dir, segName(w.seg)), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	w.f = f
-	return syncDir(w.dir)
-}
-
-// close flushes and closes the open segment (the clean-shutdown path;
-// the segment stays appendable on the next boot).
-func (w *logWriter) close() error {
-	if w.f == nil {
-		return nil
-	}
-	err := w.f.Sync()
-	if cerr := w.f.Close(); err == nil {
-		err = cerr
-	}
-	w.f = nil
-	return err
-}
-
-// abort closes the segment file without syncing — the crash-test
-// stand-in for the process dying.
-func (w *logWriter) abort() {
-	if w != nil && w.f != nil {
-		w.f.Close()
-		w.f = nil
-	}
-}
-
-// syncDir fsyncs a directory so renames/creates within it are durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// readSuffix reads path from offset off to EOF — the only log bytes
-// recovery touches for the segment holding the newest snapshot, so
-// RecoveryReadBytes covers exactly the post-snapshot suffix.
-func readSuffix(path string, off int64) ([]byte, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	if off >= st.Size() {
-		return nil, nil
-	}
-	buf := make([]byte, st.Size()-off)
-	if _, err := f.ReadAt(buf, off); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// SegmentError reports a damaged log segment recovery refuses to
-// repair silently: corruption anywhere, or a torn tail somewhere other
-// than the final (still-writable) segment.
-type SegmentError struct {
-	Segment string
-	Offset  int64
-	Reason  frame.ScanReason
-}
-
-// Error implements error.
-func (e *SegmentError) Error() string {
-	return fmt.Sprintf("jobstore: log segment %s damaged at offset %d (%s): acknowledged commits cannot be reconstructed", e.Segment, e.Offset, e.Reason)
 }

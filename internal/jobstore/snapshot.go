@@ -4,10 +4,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 
 	"repro/internal/frame"
+	"repro/internal/seglog"
 )
 
 // snapshotVersion guards the snapshot layout; bump on change.
@@ -18,23 +17,16 @@ const snapshotVersion = 1
 // should paper over.
 var ErrBadSnapshot = errors.New("jobstore: malformed snapshot")
 
-// snapRef remembers a durable snapshot's identity for retention.
-type snapRef struct{ txid, seg int64 }
-
 // snapshot is one compacted image of the full bucket state plus the
 // log position (segment, end offset) just past the last transaction
 // folded into it. Recovery restores the newest good snapshot and
 // replays only the log suffix after (Seg, Off).
 //
-// File layout (snap-<txid>.sn), validated with frame.ScanTail — the
-// same audited code path log recovery uses:
+// File layout (snap-<txid>.sn), a seglog image whose frames span the
+// file exactly:
 //
 //	frame([version][txid][seg][off][nbuckets] varints)
 //	nbuckets × frame([name][seq][npairs]([key][val])*)
-//
-// Snapshots are written in place (no tmp+rename): a torn snapshot is
-// expected under crash injection and the chain simply falls back to
-// the previous one, which is why at least two are retained.
 type snapshot struct {
 	Txid     int64 // last transaction id applied to the image
 	Seg, Off int64 // log position just past transaction Txid
@@ -47,58 +39,52 @@ type snapBucket struct {
 	pairs [][2][]byte // insertion order
 }
 
-func appendUvarint(dst []byte, v uint64) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	return append(dst, tmp[:binary.PutUvarint(tmp[:], v)]...)
-}
-
-func appendBytes(dst, b []byte) []byte {
-	dst = appendUvarint(dst, uint64(len(b)))
-	return append(dst, b...)
-}
-
 // encodeSnapshot renders the current bucket state (caller holds s.mu)
 // into its file representation.
 func (s *Store) encodeSnapshot(txid, seg, off int64) []byte {
 	var hdr []byte
 	for _, v := range []int64{snapshotVersion, txid, seg, off, int64(len(s.names))} {
-		hdr = appendUvarint(hdr, uint64(v))
+		hdr = binary.AppendUvarint(hdr, uint64(v))
 	}
 	out := frame.Append(nil, hdr)
 	var body []byte
 	for _, name := range s.names {
 		b := s.buckets[name]
-		body = appendBytes(body[:0], []byte(name))
-		body = appendUvarint(body, b.seq)
-		body = appendUvarint(body, uint64(len(b.keys)))
+		body = appendBytes(body[:0], name)
+		body = binary.AppendUvarint(body, b.seq)
+		body = binary.AppendUvarint(body, uint64(len(b.keys)))
 		for _, k := range b.keys {
-			body = appendBytes(body, []byte(k))
-			body = appendBytes(body, b.vals[k])
+			body = appendBytes(appendBytes(body, k), b.vals[k])
 		}
 		out = frame.Append(out, body)
 	}
 	return out
 }
 
-// decodeSnapshot parses a snapshot file body whose frames already
-// verified clean (whole-file span).
-func decodeSnapshot(b []byte) (*snapshot, error) {
+// Ref identifies the snapshot in its seglog chain.
+func (sn *snapshot) Ref() seglog.Ref { return seglog.Ref{ID: sn.Txid, Seg: sn.Seg} }
+
+// decodeSnapshot parses a snapshot file whose frames already verified
+// clean (whole-file span): a header frame and one frame per bucket.
+func decodeSnapshot(b []byte, frames int) (*snapshot, error) {
+	if frames < 1 {
+		return nil, fmt.Errorf("%w: no header frame", ErrBadSnapshot)
+	}
 	hdr, n, err := frame.Next(b)
 	if err != nil {
 		return nil, err
 	}
 	b = b[n:]
+	r := reader{p: hdr, ok: true}
 	var fields [5]int64
 	for i := range fields {
-		v, vn := binary.Uvarint(hdr)
-		if vn <= 0 {
-			return nil, fmt.Errorf("%w: short header", ErrBadSnapshot)
-		}
-		fields[i] = int64(v)
-		hdr = hdr[vn:]
+		fields[i] = int64(r.uvarint())
 	}
-	if len(hdr) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing header bytes", ErrBadSnapshot, len(hdr))
+	if !r.ok {
+		return nil, fmt.Errorf("%w: short header", ErrBadSnapshot)
+	}
+	if len(r.p) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing header bytes", ErrBadSnapshot, len(r.p))
 	}
 	if fields[0] != snapshotVersion {
 		return nil, fmt.Errorf("%w: version %d (want %d)", ErrBadSnapshot, fields[0], snapshotVersion)
@@ -124,46 +110,16 @@ func decodeSnapshot(b []byte) (*snapshot, error) {
 }
 
 func decodeSnapBucket(p []byte) (snapBucket, error) {
-	var bk snapBucket
-	next := func() (uint64, bool) {
-		v, n := binary.Uvarint(p)
-		if n <= 0 {
-			return 0, false
-		}
-		p = p[n:]
-		return v, true
-	}
-	bs := func() ([]byte, bool) {
-		ln, ok := next()
-		if !ok || ln > uint64(len(p)) {
-			return nil, false
-		}
-		b := append([]byte(nil), p[:ln]...)
-		p = p[ln:]
-		return b, true
-	}
-	name, ok := bs()
-	if !ok {
-		return bk, fmt.Errorf("%w: bucket name", ErrBadSnapshot)
-	}
-	bk.name = string(name)
-	if bk.seq, ok = next(); !ok {
-		return bk, fmt.Errorf("%w: bucket seq", ErrBadSnapshot)
-	}
-	npairs, ok := next()
-	if !ok {
-		return bk, fmt.Errorf("%w: bucket pair count", ErrBadSnapshot)
-	}
-	for i := uint64(0); i < npairs; i++ {
-		k, ok1 := bs()
-		v, ok2 := bs()
-		if !ok1 || !ok2 {
-			return bk, fmt.Errorf("%w: bucket %s pair %d", ErrBadSnapshot, bk.name, i)
-		}
+	r := reader{p: p, ok: true}
+	bk := snapBucket{name: string(r.bytes()), seq: r.uvarint()}
+	npairs := r.uvarint()
+	for i := uint64(0); i < npairs && r.ok; i++ {
+		k := append([]byte(nil), r.bytes()...)
+		v := append([]byte(nil), r.bytes()...)
 		bk.pairs = append(bk.pairs, [2][]byte{k, v})
 	}
-	if len(p) != 0 {
-		return bk, fmt.Errorf("%w: %d trailing bucket bytes", ErrBadSnapshot, len(p))
+	if !r.ok || len(r.p) != 0 {
+		return bk, fmt.Errorf("%w: bucket %q does not decode", ErrBadSnapshot, bk.name)
 	}
 	return bk, nil
 }
@@ -181,244 +137,73 @@ func (s *Store) restoreSnapshot(sn *snapshot) {
 	}
 }
 
-// writeSnapshot persists the snapshot file, fsyncing file and
-// directory. Returns the file size for metrics.
-func writeSnapshot(dir string, data []byte, txid int64, fail *Failpoints) (int64, error) {
-	if fail != nil && fail.TornSnapshot != nil {
-		if n := fail.TornSnapshot(txid); n >= 0 {
-			if n > len(data) {
-				n = len(data)
-			}
-			os.WriteFile(filepath.Join(dir, snapName(txid)), data[:n], 0o644)
-			return 0, fmt.Errorf("torn snapshot at tx %d: %w", txid, ErrCrash)
-		}
-	}
-	path := filepath.Join(dir, snapName(txid))
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return 0, err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return 0, err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return 0, err
-	}
-	if err := f.Close(); err != nil {
-		return 0, err
-	}
-	if err := syncDir(dir); err != nil {
-		return 0, err
-	}
-	return int64(len(data)), nil
-}
-
-// loadSnapshot reads and validates one snapshot file. A nil snapshot
-// with a non-Clean reason means structural damage (fall back to an
-// older snapshot); an error means I/O trouble worth surfacing.
-func loadSnapshot(path string) (*snapshot, frame.ScanReason, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, frame.ScanClean, err
-	}
-	res := frame.ScanTail(data, nil)
-	if res.Reason != frame.ScanClean || res.Good != int64(len(data)) || res.Frames < 1 {
-		reason := res.Reason
-		if reason == frame.ScanClean {
-			reason = frame.ScanCorrupt
-		}
-		return nil, reason, nil
-	}
-	sn, err := decodeSnapshot(data)
-	if err != nil {
-		return nil, frame.ScanCorrupt, nil
-	}
-	return sn, frame.ScanClean, nil
-}
-
-// compactLocked writes a snapshot at the current log position and
-// prunes snapshots and segments it subsumes. Callers hold s.mu.
+// compactLocked writes a snapshot at the current log position; the
+// chain prunes snapshots and segments it subsumes. Callers hold s.mu.
 func (s *Store) compactLocked() error {
 	txid := s.nextTx - 1
-	data := s.encodeSnapshot(txid, s.log.seg, s.log.off)
-	n, err := writeSnapshot(s.cfg.Dir, data, txid, s.cfg.Fail)
+	data := s.encodeSnapshot(txid, s.log.Seg, s.log.Off)
+	n, err := s.chain.Write(seglog.Ref{ID: txid, Seg: s.log.Seg}, data)
 	if err != nil {
 		return err
 	}
-	s.log.snapshots++
-	s.log.snapshotBytes += n
+	s.snapshots++
+	s.snapshotBytes += n
 	s.commits = 0
-	s.snapMeta = append(s.snapMeta, snapRef{txid, s.log.seg})
-	if len(s.snapMeta) > s.cfg.RetainSnapshots {
-		s.snapMeta = s.snapMeta[len(s.snapMeta)-s.cfg.RetainSnapshots:]
-	}
-	pruneSnapshots(s.cfg.Dir, s.cfg.RetainSnapshots, s.snapMeta)
 	return nil
-}
-
-// pruneSnapshots keeps the newest `retain` snapshots and deletes older
-// snapshot files plus log segments wholly covered by every retained
-// snapshot (index below the oldest retained snapshot's segment — that
-// segment itself is always kept, since replay may start mid-file
-// inside it). Best-effort: deletion failures are ignored; the files
-// are garbage, not state.
-func pruneSnapshots(dir string, retain int, retained []snapRef) {
-	txids, err := listSnapshots(dir)
-	if err != nil || len(txids) <= retain {
-		return
-	}
-	for _, txid := range txids[:len(txids)-retain] {
-		os.Remove(filepath.Join(dir, snapName(txid)))
-	}
-	if len(retained) == 0 {
-		return
-	}
-	minSeg := retained[0].seg
-	for _, r := range retained[1:] {
-		if r.seg < minSeg {
-			minSeg = r.seg
-		}
-	}
-	segs, err := listSegments(dir)
-	if err != nil {
-		return
-	}
-	for _, idx := range segs {
-		if idx < minSeg {
-			os.Remove(filepath.Join(dir, segName(idx)))
-		}
-	}
-}
-
-// loadSnapshotChain finds the newest snapshot in dir that loads whole,
-// walking backward past torn or corrupt ones (counted for metrics).
-// Returns nil when no usable snapshot exists — recovery then replays
-// the log from the beginning.
-func loadSnapshotChain(dir string) (sn *snapshot, discarded int64, err error) {
-	txids, err := listSnapshots(dir)
-	if err != nil {
-		return nil, 0, err
-	}
-	for i := len(txids) - 1; i >= 0; i-- {
-		c, _, err := loadSnapshot(filepath.Join(dir, snapName(txids[i])))
-		if err != nil {
-			return nil, discarded, err
-		}
-		if c != nil {
-			if c.Txid != txids[i] {
-				return nil, discarded,
-					fmt.Errorf("%w: %s claims tx %d", ErrBadSnapshot, snapName(txids[i]), c.Txid)
-			}
-			return c, discarded, nil
-		}
-		discarded++
-	}
-	return nil, discarded, nil
 }
 
 // recover restores the newest good snapshot and replays the log suffix
 // behind it, asserting transaction-id contiguity; see Open.
 func (s *Store) recover() error {
-	dir := s.cfg.Dir
-	sn, discarded, err := loadSnapshotChain(dir)
+	s.chain = &seglog.Chain{
+		Log:    seglog.Log{Dir: s.cfg.Dir, Segs: segNames, Images: snapNames},
+		Retain: s.cfg.RetainSnapshots,
+	}
+	if s.cfg.Fail != nil {
+		s.chain.TornWrite = s.cfg.Fail.TornSnapshot
+	}
+	sn, torn, corrupt, err := seglog.LoadChain(s.chain, decodeSnapshot)
 	if err != nil {
 		return err
 	}
-	s.Recovery.SnapshotsDiscarded = discarded
-	startSeg, startOff := int64(1), int64(0)
+	s.Recovery.SnapshotsDiscarded = torn + corrupt
+	var startSeg, startOff int64
 	expected := int64(1)
 	if sn != nil {
 		s.restoreSnapshot(sn)
 		startSeg, startOff = sn.Seg, sn.Off
 		expected = sn.Txid + 1
 		s.Recovery.RestoredTx = sn.Txid
-		s.snapMeta = append(s.snapMeta, snapRef{sn.Txid, sn.Seg})
 	}
 
-	segs, err := listSegments(dir)
-	if err != nil {
-		return err
-	}
-	if len(segs) == 0 {
-		if sn != nil {
-			return fmt.Errorf("jobstore: snapshot %d references segment %s but the log is empty", sn.Txid, segName(sn.Seg))
-		}
-	} else if sn == nil {
-		startSeg = segs[0]
-	}
-
-	lastSeg, lastEnd := startSeg, startOff
-	sawStart := len(segs) == 0 // vacuously fine on a fresh directory
-	prev := int64(-1)
-	for _, idx := range segs {
-		if idx < startSeg {
-			if st, err := os.Stat(filepath.Join(dir, segName(idx))); err == nil {
-				s.Recovery.SkippedSegBytes += st.Size()
-			}
-			continue
-		}
-		if idx == startSeg {
-			sawStart = true
-		} else if prev >= 0 && idx != prev+1 {
-			return fmt.Errorf("jobstore: log gap: segment %s follows %s", segName(idx), segName(prev))
-		}
-		prev = idx
-
-		off0 := int64(0)
-		if idx == startSeg {
-			off0 = startOff
-		}
-		path := filepath.Join(dir, segName(idx))
-		data, err := readSuffix(path, off0)
+	lastSeg, lastEnd, st, err := s.chain.Replay(startSeg, startOff, func(p []byte) error {
+		txid, ops, err := decodeCommit(p)
 		if err != nil {
 			return err
 		}
-		s.Recovery.RecoveryReadBytes += int64(len(data))
-		var replayErr error
-		res := frame.ScanTail(data, func(p []byte) {
-			if replayErr != nil {
-				return
-			}
-			txid, ops, err := decodeCommit(p)
-			if err != nil {
-				replayErr = fmt.Errorf("%w (segment %s)", err, segName(idx))
-				return
-			}
-			if txid != expected {
-				replayErr = fmt.Errorf("jobstore: log replay expected tx %d, found %d in %s", expected, txid, segName(idx))
-				return
-			}
-			for _, o := range ops {
-				s.apply(o)
-			}
-			s.Recovery.ReplayedTx++
-			expected++
-		})
-		if replayErr != nil {
-			return replayErr
+		if txid != expected {
+			return fmt.Errorf("jobstore: log replay expected tx %d, found %d", expected, txid)
 		}
-		last := idx == segs[len(segs)-1]
-		switch {
-		case res.Reason == frame.ScanClean:
-		case last && res.Reason == frame.ScanTorn:
-			if err := os.Truncate(path, off0+res.Good); err != nil {
-				return err
-			}
-			s.Recovery.TornTailsTruncated++
-		default:
-			return &SegmentError{Segment: segName(idx), Offset: off0 + res.Good, Reason: res.Reason}
+		for _, o := range ops {
+			s.apply(o)
 		}
-		lastSeg, lastEnd = idx, off0+res.Good
-	}
-	if !sawStart {
-		return fmt.Errorf("jobstore: snapshot %d references missing segment %s", s.Recovery.RestoredTx, segName(startSeg))
-	}
-
-	w, err := openLogAt(dir, lastSeg, lastEnd, s.cfg.SealBytes, s.cfg.Fail)
+		s.Recovery.ReplayedTx++
+		expected++
+		return nil
+	})
 	if err != nil {
 		return err
+	}
+	s.Recovery.RecoveryReadBytes = st.ReadBytes
+	s.Recovery.SkippedSegBytes = st.SkippedBytes
+	s.Recovery.TornTailsTruncated = st.TornTailsTruncated
+
+	w, err := s.chain.OpenWriter(lastSeg, lastEnd, s.cfg.SealBytes)
+	if err != nil {
+		return err
+	}
+	if fp := s.cfg.Fail; fp != nil {
+		w.TornAppend, w.BeforeSync = fp.TornCommit, fp.BeforeCommitSync
 	}
 	s.log = w
 	s.nextTx = expected
