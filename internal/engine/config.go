@@ -30,6 +30,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/mr"
 	"repro/internal/storage"
+	"repro/internal/task"
 )
 
 // Platform selects the data path.
@@ -435,11 +436,51 @@ func (s *JobSpec) validate() error {
 		return errSpec("the hop platform supports only transient disk errors, not corruption")
 	}
 	if s.Platform == HOP && d.IOErrorRate > 0.25 {
-		// HOP's legacy task paths have no attempt-restart ladder; keep
-		// the retry-exhaustion probability (rate^12) negligible.
+		// Validation admits no HOP fault plan, so a HOP reduce task runs
+		// exactly one attempt with no restart ladder and an exhausted
+		// retry budget fails the job; keep that probability (rate^12)
+		// negligible.
 		return errSpec("hop disk io-error rate must be ≤ 0.25")
 	}
 	return nil
+}
+
+// ReducerConfig resolves the platform reducer both backends build for
+// the job: its kind (HOP reduces through the sort-merge reducer) and
+// the size estimates the hash reducers plan memory with — |D_r| from
+// the input size and K_m, Δ from the distinct-key hint and the state
+// size, and the distinct keys per reducer. Call it once per job on a
+// validated spec; each attempt fills in its own spill-file Prefix.
+func (s *JobSpec) ReducerConfig() task.ReducerConfig {
+	c := &s.Cluster
+	reducers := int64(c.R * c.Nodes)
+	inputBytes := int64(len(s.Input.ChunkBytes(0))) * int64(s.Input.NumChunks())
+	stateSize := int64(64)
+	if inc, ok := s.Query.(mr.Incremental); ok {
+		stateSize = int64(inc.StateSize() + 24)
+	}
+	kind := task.SortMerge
+	switch s.Platform {
+	case MRHash:
+		kind = task.MRHash
+	case INCHash:
+		kind = task.INCHash
+	case DINCHash:
+		kind = task.DINCHash
+	}
+	return task.ReducerConfig{
+		Kind:                 kind,
+		Buffer:               c.ReduceBuffer,
+		Page:                 c.Page,
+		ReadSegment:          c.ReadSegment,
+		MergeFactor:          c.MergeFactor,
+		ExpectedBytes:        int64(float64(inputBytes) * s.Hints.Km / float64(reducers)),
+		ExpectedStateBytes:   s.Hints.DistinctKeys * stateSize / reducers,
+		ExpectedDistinctKeys: s.Hints.DistinctKeys / reducers,
+		CoverageThreshold:    s.CoverageThreshold,
+		ScanEvery:            s.ScanEvery,
+		SnapshotEvery:        s.SnapshotEvery,
+	}
 }
 
 // FaultPlan describes injected failures: per-task attempt failures,
@@ -637,6 +678,15 @@ func (f *FaultPlan) any() bool {
 		len(f.SlowNodes) > 0 || f.Speculate || f.ShuffleErrorRate > 0
 }
 
+// FailFraction is the fraction of a failing attempt's work done before
+// the injected failure hits: FailPoint, defaulting to 1 (all of it).
+func (f *FaultPlan) FailFraction() float64 {
+	if f.FailPoint <= 0 || f.FailPoint > 1 {
+		return 1
+	}
+	return f.FailPoint
+}
+
 // risky reports whether attempts can fail after consuming input
 // (node kills or injected reduce failures), which makes reduce output
 // provisional until the attempt commits.
@@ -675,6 +725,15 @@ func (s *JobSpec) RealUnsupported() string {
 		return "virtual-time node kills (KillNodes) remain DES-only; use KillAtMapProgress on the real backend"
 	}
 	return ""
+}
+
+// ReduceRestarts reports whether a reduce attempt can fail after
+// consuming input and emitting output: node kills, injected reduce
+// failures, or disk faults on a platform with a restart ladder (HOP has
+// none). Such runs buffer reduce output provisionally on both backends,
+// and the DES retains map outputs for re-fetch.
+func (s *JobSpec) ReduceRestarts() bool {
+	return s.Faults.risky() || (s.Faults.Disk.any() && s.Platform != HOP)
 }
 
 // needsTracker reports whether the run needs the failure-detector /

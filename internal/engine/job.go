@@ -10,6 +10,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/storage"
+	"repro/internal/task"
 )
 
 // job is one running MapReduce job: the simulation state, gauges, and
@@ -21,12 +22,12 @@ type job struct {
 
 	nodes       []*node
 	shuffle     *shuffleService
-	tracker     *tracker // nil on clean runs (no faults, no checkpointing)
+	tracker     *tracker // per-task attempt state; its daemon ticks only under kills or speculation
 	gauges      metrics.Gauges
 	numReducers int
 	totalMaps   int
 
-	inputBytesEst int64
+	rcfg task.ReducerConfig // every reduce attempt's reducer, bar the spill prefix
 
 	// combine is the in-node combine plan; nil unless the spec resolves
 	// node combining on (combinable query, non-HOP platform, fault-free
@@ -38,8 +39,7 @@ type job struct {
 	memFetches       int64
 	diskFetches      int64
 	fnRecords        int64
-	outRecords       int64
-	outBytes         int64
+	out              task.Totals // committed reduce output
 	mapInputRecords  int64
 	mapOutputRecords int64
 	mapCPU           int64 // virtual ns across all map tasks
@@ -71,8 +71,7 @@ type job struct {
 	ckptCorrupt  int64 // bit-flipped checkpoint images detected at restore
 	ckptSeq      int64 // per-job checkpoint injection sequence
 
-	outputs [][2]string
-	spans   []Span
+	spans []Span
 }
 
 // Span is one task's lifetime on the cluster (the §5 "profiler"
@@ -116,15 +115,16 @@ func Run(spec JobSpec) (*Report, error) {
 		return nil, errSpec("input has no chunks")
 	}
 	j.k.SetWorkers(cfg.Parallelism)
-	j.inputBytesEst = int64(len(spec.Input.ChunkBytes(0))) * int64(j.totalMaps)
+	j.rcfg = spec.ReducerConfig()
 	for i := 0; i < cfg.Nodes; i++ {
 		j.nodes = append(j.nodes, newNode(j.k, i, *cfg))
 	}
 	j.shuffle = newShuffleService(j.k, j.totalMaps, j.numReducers)
 
 	// Fault plan wiring: crash times, stragglers, disk faults, the
-	// failure-detector daemon. Clean runs skip all of it — no tracker
-	// state, no daemon ticks — so their event sequences are untouched.
+	// failure-detector daemon. A clean run is the zero-fault case of the
+	// same attempt loops; it spawns no daemon, so no tick interleaves
+	// with its events.
 	faults := &spec.Faults
 	for idx, at := range faults.KillNodes {
 		j.nodes[idx].deadAt = int64(at)
@@ -138,17 +138,10 @@ func Run(spec JobSpec) (*Report, error) {
 			n.store.SetFaults(df)
 		}
 	}
-	// Disk faults need the tracker too (except on HOP, where validation
-	// only admits transient errors the storage layer retries
-	// internally): corrupt map outputs re-execute through it, and
-	// attempt restarts after exhausted retry budgets run on its loops.
-	diskRecovery := faults.Disk.any() && spec.Platform != HOP
-	if faults.any() || diskRecovery || spec.CheckpointEvery > 0 {
-		j.tracker = newTracker(j)
-		j.shuffle.retain = faults.risky() || faults.Disk.any()
-		if faults.needsTracker() {
-			j.k.SpawnDaemon("tracker", func(p *sim.Proc) { j.tracker.run(p) })
-		}
+	j.tracker = newTracker(j)
+	j.shuffle.retain = spec.ReduceRestarts()
+	if faults.needsTracker() {
+		j.k.SpawnDaemon("tracker", func(p *sim.Proc) { j.tracker.run(p) })
 	}
 
 	sampler := metrics.NewSampler(j, cfg.ProgressInterval)
@@ -270,5 +263,5 @@ func (j *job) TaskGauge(ph metrics.Phase) int { return j.gauges.Get(ph) }
 
 // Counts implements metrics.Probe.
 func (j *job) Counts() (int, int64, int64, int64) {
-	return j.mapsDone, j.fetchesDone, j.fnRecords, j.outRecords
+	return j.mapsDone, j.fetchesDone, j.fnRecords, j.out.Records
 }

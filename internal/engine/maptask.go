@@ -13,14 +13,8 @@ import (
 	"repro/internal/sortmerge"
 	"repro/internal/storage"
 	"repro/internal/substrate"
+	"repro/internal/task"
 )
-
-// collector abstracts the two map-output components (sort-merge's Map
-// Output Buffer and the Hash-based Map Output).
-type collector interface {
-	Add(key, val []byte)
-	Finish() (parts [][][]byte, mapped, emitted int64)
-}
 
 // mapResult is the outcome of one map attempt.
 type mapResult int
@@ -43,14 +37,6 @@ const (
 func (j *job) runMapTask(p *sim.Proc, chunk int, n *node, backup bool) {
 	failures := j.spec.Faults.MapFailures[chunk]
 	t := j.tracker
-	if t == nil {
-		// Clean run (no faults configured): the legacy retry loop.
-		for attempt := 0; ; attempt++ {
-			if res, _ := j.runMapAttempt(p, chunk, n, attempt, attempt < failures, false); res == mapDone {
-				return
-			}
-		}
-	}
 	ms := t.mstates[chunk]
 	for {
 		if ms.done {
@@ -183,14 +169,15 @@ func (j *job) runMapAttempt(p *sim.Proc, chunk int, n *node, attempt int, fail, 
 	defer p.Release(n.mapSlots, 1)
 	defer p.Join() // drain forked compute on every exit path
 	start := p.Now()
-	if t := j.tracker; t != nil && !backup {
-		t.mstates[chunk].since = start
+	ms := j.tracker.mstates[chunk]
+	if !backup {
+		ms.since = start
 	}
 	kind := "map"
 	if fail {
 		kind = "map-failed"
 	}
-	defer func() { j.addSpan(fmt.Sprintf("%s#%d", p.Name(), attempt), kind, n.idx, start, p.Now()) }()
+	defer func() { j.addSpan(task.MapSpan(p.Name(), attempt), kind, n.idx, start, p.Now()) }()
 	j.gauges.Enter(metrics.PhaseMap)
 	defer j.gauges.Leave(metrics.PhaseMap)
 
@@ -228,16 +215,11 @@ func (j *job) runMapAttempt(p *sim.Proc, chunk int, n *node, attempt int, fail, 
 
 	failAt := int64(-1)
 	if fail {
-		fp := j.spec.Faults.FailPoint
-		if fp <= 0 || fp > 1 {
-			fp = 1
-		}
-		failAt = int64(fp * float64(len(data)))
+		failAt = int64(j.spec.Faults.FailFraction() * float64(len(data)))
 	}
 
 	rt := j.newRuntime(p, n, &ledger)
-	var coll collector
-	var hop *hopCollector
+	var coll task.Collector
 	switch j.spec.Platform {
 	case SortMerge:
 		coll = sortmerge.NewMapCollector(rt, j.spec.Query, sortmerge.MapCollectorConfig{
@@ -248,8 +230,10 @@ func (j *job) runMapAttempt(p *sim.Proc, chunk int, n *node, attempt int, fail, 
 			ReadSegment: cfg.ReadSegment,
 		})
 	case HOP:
-		hop = newHOPCollector(j, rt, n, chunk)
-		coll = hop
+		coll = task.NewHOPCollector(rt, j.spec.Query, j.numReducers, cfg.MapBuffer, chunk,
+			func(name string, _ int, parts [][][]byte, records int64) {
+				j.publishMapOutput(p, n, name, -1, nil, parts, records)
+			})
 	default:
 		coll = core.NewHashMapCollector(rt, j.spec.Query, j.numReducers, cfg.MapBuffer,
 			j.spec.Platform.Incremental())
@@ -372,7 +356,7 @@ func (j *job) runMapAttempt(p *sim.Proc, chunk int, n *node, attempt int, fail, 
 			j.wastedCPU += ledger
 			return mapFailedInjected, 0
 		}
-		if tr := j.tracker; tr != nil && tr.mstates[chunk].done {
+		if ms.done {
 			// Another attempt (speculative backup or primary) already
 			// published this task's output: stop, drop everything.
 			kind = "map-superseded"
@@ -382,7 +366,7 @@ func (j *job) runMapAttempt(p *sim.Proc, chunk int, n *node, attempt int, fail, 
 	}
 
 	parts, mapped, emitted := coll.Finish()
-	if tr := j.tracker; tr != nil && tr.mstates[chunk].done {
+	if ms.done {
 		kind = "map-superseded"
 		j.wastedCPU += ledger
 		return mapSuperseded, 0
@@ -390,16 +374,14 @@ func (j *job) runMapAttempt(p *sim.Proc, chunk int, n *node, attempt int, fail, 
 	j.mapInputRecords += mapped
 	j.mapOutputRecords += emitted
 	j.quarantined += quarantined
-	if j.combine != nil && hop == nil {
+	if j.combine != nil {
 		// Node-combine: the output parks at the node's combiner instead
 		// of entering the shuffle; the node's last deposit triggers the
 		// fold, and the merged run publishes for every covered task (the
 		// shuffle's completion count is released there, not here). Only
 		// fault-free plans combine, so there is no claim race and no
 		// declared-dead rollback to handle.
-		if tr := j.tracker; tr != nil {
-			tr.mstates[chunk].done = true
-		}
+		ms.done = true
 		j.mapCPU += ledger
 		j.mapsDone++
 		if j.mapsDone == j.totalMaps {
@@ -408,31 +390,26 @@ func (j *job) runMapAttempt(p *sim.Proc, chunk int, n *node, attempt int, fail, 
 		j.combine.deposit(chunk, n, parts, emitted)
 		return mapDone, p.Now() - start
 	}
-	if hop == nil {
-		if tr := j.tracker; tr != nil {
-			// Claim the task before the publish I/O parks, so a racing
-			// backup cannot double-publish.
-			tr.mstates[chunk].done = true
-		}
+	if j.spec.Platform != HOP {
+		// Claim the task before the publish I/O parks, so a racing
+		// backup cannot double-publish.
+		ms.done = true
 		o := j.publishMapOutput(p, n, fmt.Sprintf("map%06d.a%d.out", chunk, attempt), chunk, nil, parts, emitted)
-		if tr := j.tracker; tr != nil {
-			ms := tr.mstates[chunk]
-			if n.declaredDead {
-				// The node was declared dead while we were publishing:
-				// the output is on a dead machine and the detector has
-				// already swept it. Undo the claim and re-execute.
-				o.lost = true
-				ms.done = false
-				ms.output = nil
-				j.mapInputRecords -= mapped
-				j.mapOutputRecords -= emitted
-				j.quarantined -= quarantined
-				kind = "map-lost"
-				j.wastedCPU += ledger
-				return mapNodeDead, 0
-			}
-			ms.output = o
+		if n.declaredDead {
+			// The node was declared dead while we were publishing: the
+			// output is on a dead machine and the detector has already
+			// swept it. Undo the claim and re-execute.
+			o.lost = true
+			ms.done = false
+			ms.output = nil
+			j.mapInputRecords -= mapped
+			j.mapOutputRecords -= emitted
+			j.quarantined -= quarantined
+			kind = "map-lost"
+			j.wastedCPU += ledger
+			return mapNodeDead, 0
 		}
+		ms.output = o
 	}
 	j.mapCPU += ledger
 
@@ -486,110 +463,4 @@ func (j *job) publishMapOutput(p substrate.Proc, n *node, name string, task int,
 	n.cacheAdd(o)
 	j.shuffle.publish(o)
 	return o
-}
-
-// hopCollector implements MapReduce Online-style pipelining (§2.2):
-// map output is pushed to reducers eagerly, one sorted spill at a
-// time, and no map-side multi-pass merge happens — the merge work is
-// redistributed to the reducers, which is exactly the paper's
-// characterization of HOP.
-type hopCollector struct {
-	j     *job
-	rt    *core.Runtime
-	n     *node
-	chunk int
-	comb  mr.Combiner
-	h1    interface {
-		Bucket(key []byte, n int) int
-	}
-
-	buf     []byte
-	pk      []byte // partition-prefix scratch, reused across Add calls
-	spills  int
-	mapped  int64
-	emitted int64
-}
-
-func newHOPCollector(j *job, rt *core.Runtime, n *node, chunk int) *hopCollector {
-	h := &hopCollector{j: j, rt: rt, n: n, chunk: chunk, h1: rt.Fam.Fn(1)}
-	if c, ok := j.spec.Query.(mr.Combiner); ok {
-		h.comb = c
-	}
-	return h
-}
-
-// Add implements collector. The partition-prefixed key is built in a
-// reused scratch buffer (AppendPair copies it into the collect buffer
-// immediately).
-func (h *hopCollector) Add(key, val []byte) {
-	h.mapped++
-	part := h.h1.Bucket(key, h.j.numReducers)
-	h.pk = append(h.pk[:0], byte(part>>8), byte(part))
-	h.pk = append(h.pk, key...)
-	h.buf = kvenc.AppendPair(h.buf, h.pk, val)
-	if int64(len(h.buf)) >= h.j.spec.Cluster.MapBuffer {
-		h.push()
-	}
-}
-
-// push sorts the buffer, applies the combiner, and publishes the spill
-// immediately as its own shuffle unit.
-func (h *hopCollector) push() {
-	if len(h.buf) == 0 {
-		return
-	}
-	model := h.rt.Model
-	sorted, n := h.rt.SortStreamTo(bytestore.Get(len(h.buf)), h.buf)
-	h.rt.ChargeCPU(model.CPUSort(int64(n)))
-	h.buf = h.buf[:0] // collect buffer is recycled in place
-	if h.comb != nil {
-		out := bytestore.Get(len(sorted))
-		var records int64
-		if err := kvenc.MergeGroupsChecked([][]byte{sorted}, func(pk []byte, vals kvenc.ValueIter) bool {
-			grp := &kvenc.CountingIter{Inner: vals}
-			h.comb.Combine(pk[2:], grp, func(v []byte) {
-				out = kvenc.AppendPair(out, pk, v)
-			})
-			records += grp.N
-			return true
-		}); err != nil {
-			panic(fmt.Errorf("engine: corrupt hop spill in map task %d: %w", h.chunk, err))
-		}
-		h.rt.ChargeOps(model.CPUCombine, records)
-		bytestore.Put(sorted)
-		sorted = out
-	}
-	// Split the sorted compound run into per-partition segments.
-	parts := make([][][]byte, h.j.numReducers)
-	segs := make([][]byte, h.j.numReducers)
-	it := kvenc.NewIterator(sorted)
-	var emitted int64
-	for {
-		pk, v, ok := it.Next()
-		if !ok {
-			break
-		}
-		part := int(pk[0])<<8 | int(pk[1])
-		segs[part] = kvenc.AppendPair(segs[part], pk[2:], v)
-		emitted++
-	}
-	if err := it.Err(); err != nil {
-		panic(fmt.Errorf("engine: corrupt hop spill in map task %d: %w", h.chunk, err))
-	}
-	bytestore.Put(sorted) // per-partition segments copied out above
-	for pi, s := range segs {
-		if len(s) > 0 {
-			parts[pi] = [][]byte{s}
-		}
-	}
-	h.emitted += emitted
-	h.spills++
-	h.j.publishMapOutput(h.rt.P, h.n, fmt.Sprintf("map%06d.push%d", h.chunk, h.spills), -1, nil, parts, emitted)
-}
-
-// Finish implements collector: HOP publishes incrementally, so the
-// last buffered spill is pushed and no aggregate output remains.
-func (h *hopCollector) Finish() ([][][]byte, int64, int64) {
-	h.push()
-	return nil, h.mapped, h.emitted
 }

@@ -74,20 +74,28 @@ func (s *shuffleService) mapperFinished() {
 	s.cond.Broadcast()
 }
 
-// allPublished reports whether every mapper has finished, i.e. no more
-// outputs will appear.
-func (s *shuffleService) allPublished() bool { return s.mappersDone == s.mappersAll }
-
-// next blocks the reducer until output idx exists or the stream is
-// complete; ok=false means no more outputs.
-func (s *shuffleService) next(p *sim.Proc, idx int) (*mapOutput, bool) {
-	p.WaitFor(s.cond, func() bool {
-		return idx < len(s.outputs) || s.allPublished()
-	})
-	if idx < len(s.outputs) {
-		return s.outputs[idx], true
+// pending returns the first output at or after *cursor that a reducer
+// with the given consumed-set still has to fetch, advancing *cursor
+// past outputs it never will: lost ones (a re-execution republishes
+// later in the list) and ones whose tasks it already consumed. HOP
+// pushes carry no task and are fetched in order. Outputs are only ever
+// appended, so each reducer scans the list once per attempt; nil means
+// nothing is available yet.
+func (s *shuffleService) pending(cursor *int, consumed []bool) *mapOutput {
+	for ; *cursor < len(s.outputs); *cursor++ {
+		o := s.outputs[*cursor]
+		if o.lost || (outputTask(o) >= 0 && consumed[outputTask(o)]) {
+			continue
+		}
+		return o
 	}
-	return nil, false
+	return nil
+}
+
+// drained reports whether a reducer whose cursor is at the end has
+// seen everything: every mapper finished, so no more outputs appear.
+func (s *shuffleService) drained(cursor int) bool {
+	return cursor == len(s.outputs) && s.mappersDone == s.mappersAll
 }
 
 // release notes that one reducer has fetched its partition; when all

@@ -24,35 +24,6 @@ type mapTaskState struct {
 	reexecs  int   // re-executions after output loss
 }
 
-// ckptImage is one committed reducer checkpoint: the serialized,
-// CRC32C-framed platform state image, the consumed-set at the instant
-// it was taken, and the byte accounting needed for delta writes and
-// restore reads. The image travels as a framed blob — exactly what
-// fault injection damages (bit flips at write time, torn tails at node
-// death) and what restore verifies. prev chains to the previous good
-// image (one level kept) so a damaged latest falls back instead of
-// forcing a full replay.
-type ckptImage struct {
-	framed     []byte // frame.Append(nil, core.MarshalImage(img))
-	torn       bool   // tail truncated by a torn-write injection
-	consumed   []bool
-	consumedN  int
-	stateBytes int64   // table/sketch + consumed-set bytes (rewritten each time)
-	bucketLens []int64 // cumulative per-bucket bytes (delta vs. previous image)
-	bucketSum  int64   // Σ bucketLens (all read back on restore)
-	prev       *ckptImage
-
-	// Output staged by the attempt up to this checkpoint (cumulative
-	// since the task started). Staged output becomes externally visible
-	// only through the checkpoint chain the task finally restores from
-	// and completes on — like a transactional sink, a restore to an
-	// older image discards everything staged after it, because the
-	// replayed suffix will emit it again.
-	outRecords int64
-	outBytes   int64
-	outRows    [][2]string
-}
-
 // reduceState is the tracker's view of one reduce task.
 type reduceState struct {
 	ridx     int
@@ -77,9 +48,10 @@ type reduceState struct {
 // tracker is the JobTracker's failure-handling half: a heartbeat-driven
 // failure detector that declares crashed nodes dead, invalidates their
 // stored map outputs, re-executes lost-but-needed map tasks on
-// survivors, and launches speculative backups for map stragglers. It
-// only exists (and its daemon only ticks) when the fault plan calls for
-// it, so clean runs pay nothing.
+// survivors, and launches speculative backups for map stragglers. Its
+// per-task state backs every run's attempt loops; its daemon only
+// ticks when the plan kills nodes or speculates, so a clean run's
+// event sequence carries no heartbeats.
 type tracker struct {
 	j       *job
 	cond    *sim.Cond
@@ -97,7 +69,7 @@ func newTracker(j *job) *tracker {
 	}
 	t.rstates = make([]*reduceState, j.numReducers)
 	for i := range t.rstates {
-		t.rstates[i] = &reduceState{ridx: i}
+		t.rstates[i] = &reduceState{ridx: i, everFetched: make([]bool, j.totalMaps)}
 	}
 	return t
 }
@@ -163,11 +135,11 @@ func (t *tracker) tearCheckpoints(n *node) {
 			continue
 		}
 		ck := rs.ckpt
-		if len(ck.framed) < 2 {
+		if len(ck.Framed) < 2 {
 			continue
 		}
-		cut := 1 + int64(storage.Hash64(d.Seed, int64(n.idx), int64(rs.ridx), 6)%uint64(len(ck.framed)-1))
-		ck.framed = ck.framed[:cut]
+		cut := 1 + int64(storage.Hash64(d.Seed, int64(n.idx), int64(rs.ridx), 6)%uint64(len(ck.Framed)-1))
+		ck.Framed = ck.Framed[:cut]
 		ck.torn = true
 	}
 }
@@ -204,7 +176,7 @@ func (t *tracker) needed(task int) bool {
 			continue
 		}
 		if rs.node != nil && rs.node.dead(now) {
-			if rs.ckpt == nil || !rs.ckpt.consumed[task] {
+			if rs.ckpt == nil || !rs.ckpt.Consumed[task] {
 				return true
 			}
 			continue

@@ -26,8 +26,9 @@
 //     timing-dependent.
 //
 // Everything else — what a task computes, what it publishes, what a
-// reducer consumes and in what order — is the clean path, so answers
-// and logical counters stay bit-identical to the fault-free run.
+// reducer consumes and in what order — is the zero-fault attempt's, so
+// answers and logical counters stay bit-identical to the fault-free
+// run.
 package realexec
 
 import (
@@ -38,10 +39,10 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/frame"
 	"repro/internal/mr"
 	"repro/internal/storage"
 	"repro/internal/substrate"
+	"repro/internal/task"
 )
 
 const (
@@ -55,10 +56,6 @@ const (
 	// much real delay per task, capped so chaos suites stay fast.
 	slowTaskDelay    = 200 * time.Microsecond
 	slowTaskDelayCap = 5 * time.Millisecond
-
-	// consumedBitBytes mirrors the engine: serialized size of one
-	// shuffle-unit entry in a checkpoint's consumed-set image.
-	consumedBitBytes = 1
 
 	// maxReduceAttempts bounds one reduce task's restart ladder, like
 	// the engine's cap.
@@ -172,25 +169,8 @@ func (f *faults) shuffleErr(ridx int, u *unit, attempt, try int) bool {
 	return storage.Roll(rate, f.seed, int64(ridx), int64(u.chunk), int64(u.seq), int64(attempt), int64(try))
 }
 
-// failPoint is the spec's FailPoint with the DES's default-to-1 guard.
-func (f *faults) failPoint() float64 {
-	fp := f.spec.Faults.FailPoint
-	if fp <= 0 || fp > 1 {
-		fp = 1
-	}
-	return fp
-}
-
-// provisionalOutput reports whether reduce output must buffer until
-// the attempt completes: any plan that can kill an attempt after it
-// emitted.
-func (f *faults) provisionalOutput() bool {
-	return len(f.spec.Faults.ReduceFailures) > 0 || len(f.spec.Faults.KillAtMapProgress) > 0
-}
-
-// mapChain is one map task's full attempt history under fault
-// injection: the counted winner plus failed and superseded attempts
-// kept for I/O accounting.
+// mapChain is one map task's full attempt history: the counted winner
+// plus failed and superseded attempts kept for I/O accounting.
 type mapChain struct {
 	winner *mapResult
 	extras []*mapResult
@@ -318,27 +298,11 @@ func (r *run) transientRetries(ridx int, u *unit, attempt int) {
 	}
 }
 
-// rckpt is one wall-clock checkpoint: the CRC32C-framed state image
-// plus the consumed-set and staged-output bookkeeping, mirroring the
-// engine's ckptImage. The image is logically replicated off-node;
-// with no disk-damage injection on this backend only the newest level
-// is kept.
-type rckpt struct {
-	framed     []byte
-	consumed   []bool
-	consumedN  int
-	stateBytes int64 // table/sketch + consumed-set bytes
-	bucketSum  int64
-	bucketLens []int64
-
-	outRecords int64
-	outBytes   int64
-	outRows    [][2]string
-}
-
-// rtask is one reduce task's cross-attempt recovery state.
+// rtask is one reduce task's cross-attempt recovery state. With no
+// disk-damage injection on this backend only the newest checkpoint
+// image is kept.
 type rtask struct {
-	ckpt        *rckpt
+	ckpt        *task.Checkpoint
 	everFetched []bool
 }
 
@@ -355,7 +319,7 @@ type reduceChain struct {
 func (r *run) runReduceChain(ridx, node int) *reduceChain {
 	f := r.flt
 	ch := &reduceChain{}
-	task := &rtask{}
+	tk := &rtask{}
 	failures := r.spec.Faults.ReduceFailures[ridx]
 	live := 0
 	for attempt := 0; ; attempt++ {
@@ -376,7 +340,7 @@ func (r *run) runReduceChain(ridx, node int) *reduceChain {
 		// dead node does not consume one of the planned failures.
 		inject := live < failures
 		live++
-		res := r.runReduceAttempt(task, ridx, node, attempt, inject)
+		res := r.runReduceAttempt(tk, ridx, node, attempt, inject)
 		if res.err != nil {
 			ch.err = res.err
 			return ch
@@ -391,12 +355,14 @@ func (r *run) runReduceChain(ridx, node int) *reduceChain {
 	}
 }
 
-// runReduceAttempt executes one reduce attempt under fault injection:
-// restore from the newest checkpoint, replay only the unconsumed
-// suffix of the shuffle units, checkpoint on the virtual CPU ledger,
-// and either finish (committing provisional output) or die at the
-// injected fail point.
-func (r *run) runReduceAttempt(task *rtask, ridx, node, attempt int, inject bool) (res *reduceResult) {
+// runReduceAttempt executes one reduce attempt: restore from the
+// newest checkpoint, replay only the unconsumed suffix of the shuffle
+// units, checkpoint on the virtual CPU ledger, and either finish
+// (committing provisional output) or die at the injected fail point.
+// The map barrier has already advanced the watermark to the global
+// maximum, exactly the horizon reference.RunWithWatermarks reduces
+// under.
+func (r *run) runReduceAttempt(tk *rtask, ridx, node, attempt int, inject bool) (res *reduceResult) {
 	res = &reduceResult{}
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -407,55 +373,42 @@ func (r *run) runReduceAttempt(task *rtask, ridx, node, attempt int, inject bool
 	taskStart := p.Now()
 	st := r.newStore(node)
 	res.store = st
-	rt := r.newRuntime(p, st, &res.ledger)
 	q := r.newQ()
 	if wm, ok := q.(mr.Watermarker); ok && r.hasWM {
 		wm.AdvanceWatermark(r.globalWM)
 	}
-	cfg := &r.spec.Cluster
-	out := &outputWriter{p: p, st: st, res: res, flushAt: cfg.Page,
-		collect: r.spec.CollectOutput, provisional: r.flt.provisionalOutput()}
-	red := r.buildReducers(rt, q, out, fmt.Sprintf("r%03d.a%d", ridx, attempt))
+	sink := func(b int64) { st.ChargeOutputWrite(p, b) }
+	out := task.NewOutput(&res.out, sink, r.spec.Cluster.Page, r.spec.CollectOutput, r.spec.ReduceRestarts())
+	rcfg := r.rcfg
+	rcfg.Prefix = fmt.Sprintf("r%03d.a%d", ridx, attempt)
+	red := task.NewReducer(r.newRuntime(p, st, &res.ledger), q, rcfg, out)
+	span := func(kind string) engine.Span {
+		return engine.Span{Name: task.ReduceSpan(ridx, attempt), Kind: kind, Node: node,
+			Start: time.Duration(taskStart), End: time.Duration(p.Now())}
+	}
 
 	// Resume from the newest checkpoint: read the replicated image
-	// back (table/sketch + consumed-set + all bucket bytes), rebuild
-	// the reducer, and replay only the unconsumed suffix.
+	// back, rebuild the reducer, and replay only the unconsumed suffix.
 	consumed := make([]bool, len(r.units))
 	consumedN := 0
-	if ck := task.ckpt; ck != nil && red.incremental() {
-		payload, err := frame.Decode(ck.framed)
+	if ck := tk.ckpt; ck != nil && red.Checkpointable() {
+		img, err := core.DecodeFramedImage(ck.Framed)
 		if err != nil {
-			panic(fmt.Errorf("checkpoint frame for reduce task %d failed verification: %w", ridx, err))
+			panic(fmt.Errorf("checkpoint image for reduce task %d failed verification: %w", ridx, err))
 		}
-		img, err := core.UnmarshalImage(payload)
-		if err != nil {
-			panic(fmt.Errorf("checkpoint image for reduce task %d failed to decode: %w", ridx, err))
-		}
-		st.ChargeCheckpointRead(p, ck.stateBytes+ck.bucketSum)
-		if red.inch != nil {
-			red.inch.Restore(img)
-		} else {
-			red.dinch.Restore(img)
-		}
-		out.restoreFrom(ck)
-		copy(consumed, ck.consumed)
-		consumedN = ck.consumedN
+		ck.Restore(p, st, img, red, out)
+		copy(consumed, ck.Consumed)
+		consumedN = ck.ConsumedN
 	}
 
 	failN := len(r.units)
 	if inject {
-		failN = int(math.Ceil(r.flt.failPoint() * float64(len(r.units))))
-		if failN < 1 {
-			failN = 1
-		}
+		failN = max(1, int(math.Ceil(r.spec.Faults.FailFraction()*float64(len(r.units)))))
 	}
 	failOut := func() *reduceResult {
 		res.failed = true
-		out.discard()
-		res.span = engine.Span{
-			Name: fmt.Sprintf("reduce%03d.a%d", ridx, attempt), Kind: "reduce-failed", Node: node,
-			Start: time.Duration(taskStart), End: time.Duration(p.Now()),
-		}
+		out.Discard()
+		res.span = span("reduce-failed")
 		return res
 	}
 	if inject && consumedN >= failN {
@@ -466,11 +419,11 @@ func (r *run) runReduceAttempt(task *rtask, ridx, node, attempt int, inject bool
 	ckptEvery := int64(r.spec.CheckpointEvery)
 	lastCkpt := res.ledger
 
-	// Shuffle loop over the unconsumed suffix, in the same fixed unit
-	// order as the clean path — reducers wait for lost units (never
-	// skip), so consumption order, and with it every answer, is
-	// preserved.
-	nextSnap := r.spec.SnapshotEvery
+	// Shuffle loop over the unconsumed suffix in fixed unit order.
+	// Reducers wait for lost units (never skip), so consumption order,
+	// and with it every answer, is the fault-free run's. Every fetch is
+	// served from memory; the map barrier pins the progress fraction at
+	// 1, so HOP snapshots all fire after the first consumed unit.
 	for ui, u := range r.units {
 		if consumed[ui] {
 			continue
@@ -482,15 +435,15 @@ func (r *run) runReduceAttempt(task *rtask, ridx, node, attempt int, inject bool
 		r.transientRetries(ridx, u, attempt)
 		if size := u.partBytes[ridx]; size > 0 {
 			r.memFetches.Add(1)
-			if task.everFetched == nil {
-				task.everFetched = make([]bool, len(r.units))
+			if tk.everFetched == nil {
+				tk.everFetched = make([]bool, len(r.units))
 			}
-			if task.everFetched[ui] {
+			if tk.everFetched[ui] {
 				r.refetchBytes.Add(size)
 			} else {
-				task.everFetched[ui] = true
+				tk.everFetched[ui] = true
 			}
-			r.feedUnit(rt, red, u, ridx)
+			red.Feed(u.parts[ridx], size, u.chunk)
 		}
 		r.fetchesDone.Add(1)
 		consumed[ui] = true
@@ -499,81 +452,21 @@ func (r *run) runReduceAttempt(task *rtask, ridx, node, attempt int, inject bool
 		if inject && consumedN >= failN {
 			return failOut()
 		}
-		if red.incremental() && ckptEvery > 0 && res.ledger-lastCkpt >= ckptEvery {
-			r.takeCheckpoint(p, st, task, red, out, consumed, consumedN)
+		if red.Checkpointable() && ckptEvery > 0 && res.ledger-lastCkpt >= ckptEvery {
+			tk.ckpt = task.TakeCheckpoint(p, st, red, consumed, consumedN, r.totalMaps, tk.ckpt, out)
+			r.checkpoints.Add(1)
 			lastCkpt = res.ledger
 		}
-
-		if red.smr != nil && r.spec.SnapshotEvery > 0 {
-			for nextSnap < 1 {
-				snap := &snapshotWriter{r: r, p: p, st: st}
-				red.smr.Snapshot(snap)
-				snap.flush()
-				nextSnap += r.spec.SnapshotEvery
-			}
+		for red.SnapshotDue(1) {
+			r.snapshotRecords.Add(red.Snapshot(sink))
 		}
-		if red.smr != nil && red.smr.Tree().NeedsMerge() {
-			for red.smr.Tree().NeedsMerge() {
-				red.smr.Tree().MergeOnce(p, red.smr.Charger())
-			}
-		}
+		red.Merge()
 	}
 
-	r.finishReducer(red, out, res)
-	out.commit()
-	out.flush()
-	res.span = engine.Span{
-		Name: fmt.Sprintf("reduce%03d.a%d", ridx, attempt), Kind: "reduce", Node: node,
-		Start: time.Duration(taskStart), End: time.Duration(p.Now()),
-	}
+	red.PrepareFinal()
+	res.approxKeys = red.Finish(out)
+	out.Commit()
+	out.Flush()
+	res.span = span("reduce")
 	return res
-}
-
-// takeCheckpoint snapshots the incremental reducer's state together
-// with the consumed-set, serializes it into a CRC32C-framed image,
-// charges the checkpoint write (full state + consumed-set plus only
-// the bucket bytes appended since the previous checkpoint), and
-// stages the attempt's provisional output — the engine's
-// takeCheckpoint on the wall substrate.
-func (r *run) takeCheckpoint(p substrate.Proc, st *storage.Store, task *rtask, red *reducers, out *outputWriter, consumed []bool, consumedN int) {
-	var img *core.StateImage
-	if red.inch != nil {
-		img = red.inch.Snapshot()
-	} else {
-		img = red.dinch.Snapshot()
-	}
-	payload := core.MarshalImage(img)
-	ck := &rckpt{
-		framed:     frame.Append(nil, payload),
-		consumed:   append([]bool(nil), consumed...),
-		consumedN:  consumedN,
-		// The consumed-set image covers one bit per map task, matching
-		// the engine's per-task consumed array — under node combining
-		// there are fewer shuffle units than tasks, but a checkpoint
-		// still records which tasks' output is folded into the state.
-		stateBytes: img.StateBytes() + int64(r.totalMaps)*consumedBitBytes,
-		bucketLens: img.BucketLens(),
-	}
-	write := ck.stateBytes
-	var prev []int64
-	if task.ckpt != nil {
-		prev = task.ckpt.bucketLens
-	}
-	for i, l := range ck.bucketLens {
-		ck.bucketSum += l
-		var pl int64
-		if i < len(prev) {
-			pl = prev[i]
-		}
-		if l > pl {
-			write += l - pl
-		}
-	}
-	st.ChargeCheckpointWrite(p, write)
-	if st.Checksums {
-		st.NoteOverhead(storage.Checkpoint, frame.Overhead(len(payload)))
-	}
-	task.ckpt = ck
-	r.checkpoints.Add(1)
-	out.stageInto(ck)
 }

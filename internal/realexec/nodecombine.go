@@ -109,9 +109,6 @@ func newRCombine(r *run, assign dfs.Assignment) *rcombine {
 // solo.
 func (rc *rcombine) eligible(chunk, node int) bool {
 	f := rc.r.flt
-	if f == nil {
-		return true
-	}
 	if f.dies(node) {
 		return false // output lost at the kill, or task displaced
 	}

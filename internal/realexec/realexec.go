@@ -1,12 +1,13 @@
 // Package realexec runs MapReduce jobs on the wall-clock substrate:
 // real goroutines, real time, and an M3R-style in-memory shuffle.
 //
-// It executes the same platform components (internal/core,
-// internal/sortmerge) against the same JobSpec as the DES engine
-// (internal/engine), producing an engine.Report whose answer fields —
-// output records and collected rows, map/reduce record counts, byte
-// counters, virtual CPU ledgers — are bit-for-bit identical to the
-// engine's clean-run path and deterministic for any worker count.
+// It executes the same per-attempt task body (internal/task, over the
+// platform components in internal/core and internal/sortmerge) against
+// the same JobSpec as the DES engine (internal/engine), producing an
+// engine.Report whose answer fields — output records and collected
+// rows, map/reduce record counts, byte counters, virtual CPU ledgers —
+// are bit-for-bit identical to the engine's on fault-free plans and
+// deterministic for any worker count.
 // Wall-clock fields (RunningTime, MapFinishTime, WallTime, Spans) are
 // measured, not simulated, and vary run to run.
 //
@@ -21,11 +22,12 @@
 //     MemShuffleFetches counts every fetch and DiskShuffleFetches is 0;
 //   - cross-task counters are integers summed in task order at the end.
 //
-// Fault plans and checkpointing run here too (see fault.go): node
-// kills anchored to map-progress points, stragglers, per-attempt
-// map/reduce failures, transient shuffle-read errors, speculative map
-// backups, and checkpointed INC/DINC reducer state all execute with
-// seeded, structural triggers, so answers and logical counters stay
+// Every task runs as an attempt chain (see fault.go); a clean run is
+// the zero-fault plan, whose chains are one attempt each. Node kills
+// anchored to map-progress points, stragglers, per-attempt map/reduce
+// failures, transient shuffle-read errors, speculative map backups,
+// and checkpointed INC/DINC reducer state all execute with seeded,
+// structural triggers, so answers and logical counters stay
 // bit-identical to the fault-free run. Only two trigger primitives
 // remain DES-only — virtual-time node kills (KillNodes) and
 // disk-damage injection (FaultPlan.Disk) — and Run rejects those by
@@ -51,6 +53,7 @@ import (
 	"repro/internal/sortmerge"
 	"repro/internal/storage"
 	"repro/internal/substrate"
+	"repro/internal/task"
 )
 
 // Spec is a job submission for the real backend.
@@ -69,12 +72,6 @@ type Spec struct {
 	// Answers and all deterministic Report fields are identical for any
 	// value; only wall-clock time changes.
 	Workers int
-}
-
-// collector mirrors the engine's map-output abstraction.
-type collector interface {
-	Add(key, val []byte)
-	Finish() (parts [][][]byte, mapped, emitted int64)
 }
 
 // unit is one published piece of map output, cached in memory — the
@@ -105,8 +102,7 @@ type run struct {
 	start       time.Time
 	numReducers int
 	totalMaps   int
-
-	inputBytesEst int64
+	rcfg        task.ReducerConfig // every reduce attempt's reducer, bar the spill prefix
 
 	units    []*unit
 	globalWM int64
@@ -121,8 +117,7 @@ type run struct {
 	fetchesDone     atomic.Int64
 	snapshotRecords atomic.Int64
 
-	// Fault-injected runs only; nil flt routes every task through the
-	// clean code paths untouched.
+	// flt interprets the fault plan; a clean run's is the zero plan.
 	flt              *faults
 	nodesLost        int // set at the map barrier, before the reduce phase
 	reexecMaps       int
@@ -168,14 +163,8 @@ func Run(s Spec) (*engine.Report, error) {
 	if r.totalMaps == 0 {
 		return nil, fmt.Errorf("realexec: input has no chunks")
 	}
-	r.inputBytesEst = int64(len(spec.Input.ChunkBytes(0))) * int64(r.totalMaps)
-
-	// HOP admits no fault plans (validation), and checkpointing is an
-	// INC/DINC mechanism on both substrates — everything else keeps the
-	// clean path, so fault-free reports cannot drift.
-	if spec.Faults.Active() || (spec.CheckpointEvery > 0 && spec.Platform.Incremental()) {
-		r.flt = newFaults(&spec, r.totalMaps)
-	}
+	r.rcfg = spec.ReducerConfig()
+	r.flt = newFaults(&spec, r.totalMaps)
 
 	placement := dfs.NewPlacement(cfg.Nodes, cfg.Replication)
 	assign := dfs.NewAssignment(spec.Input, placement)
@@ -184,32 +173,21 @@ func Run(s Spec) (*engine.Report, error) {
 	}
 
 	// Map phase: fan the chunks over the worker pool; each task owns
-	// its store, proc, query, and ledger. Faulted runs execute attempt
-	// chains (injected failures, displaced tasks, speculative backups)
-	// instead of single attempts.
+	// its store, proc, query, and ledger, and runs an attempt chain
+	// (displacement, injected failures, a speculative backup) — on a
+	// clean run, one attempt.
 	mapRes := make([]*mapResult, r.totalMaps)
 	var mapExtra []*mapResult
-	if r.flt == nil {
-		forEach(workers, r.totalMaps, func(chunk int) {
-			mapRes[chunk] = r.runMapAttempt(chunk, assign.Node(chunk), 0, false, nil)
-		})
-		for _, mres := range mapRes {
-			if mres.err != nil {
-				return nil, mres.err
-			}
+	mapChains := make([]*mapChain, r.totalMaps)
+	forEach(workers, r.totalMaps, func(chunk int) {
+		mapChains[chunk] = r.runMapChain(chunk, assign.Node(chunk))
+	})
+	for chunk, ch := range mapChains {
+		if ch.err != nil {
+			return nil, ch.err
 		}
-	} else {
-		chains := make([]*mapChain, r.totalMaps)
-		forEach(workers, r.totalMaps, func(chunk int) {
-			chains[chunk] = r.runMapChain(chunk, assign.Node(chunk))
-		})
-		for chunk, ch := range chains {
-			if ch.err != nil {
-				return nil, ch.err
-			}
-			mapRes[chunk] = ch.winner
-			mapExtra = append(mapExtra, ch.extras...)
-		}
+		mapRes[chunk] = ch.winner
+		mapExtra = append(mapExtra, ch.extras...)
 	}
 	mapFinish := time.Since(r.start)
 
@@ -249,7 +227,7 @@ func Run(s Spec) (*engine.Report, error) {
 	// the race.
 	var reexecWG sync.WaitGroup
 	var reexecRes []*mapResult
-	if r.flt != nil && len(r.flt.killAt) > 0 {
+	if len(r.flt.killAt) > 0 {
 		r.nodesLost = len(r.flt.killAt)
 		var lost []*unit
 		for _, u := range r.units {
@@ -281,36 +259,25 @@ func Run(s Spec) (*engine.Report, error) {
 		}
 	}
 
-	// Reduce phase. Faulted runs execute restart ladders per task.
+	// Reduce phase: one restart ladder per task.
 	redRes := make([]*reduceResult, r.numReducers)
 	var redExtra []*reduceResult
-	if r.flt == nil {
-		forEach(workers, r.numReducers, func(ridx int) {
-			redRes[ridx] = r.runReduceTask(ridx, ridx%cfg.Nodes)
-		})
-		for _, rres := range redRes {
-			if rres.err != nil {
-				return nil, rres.err
-			}
+	redChains := make([]*reduceChain, r.numReducers)
+	forEach(workers, r.numReducers, func(ridx int) {
+		redChains[ridx] = r.runReduceChain(ridx, ridx%cfg.Nodes)
+	})
+	reexecWG.Wait()
+	for _, res := range reexecRes {
+		if res != nil && res.err != nil {
+			return nil, res.err
 		}
-	} else {
-		chains := make([]*reduceChain, r.numReducers)
-		forEach(workers, r.numReducers, func(ridx int) {
-			chains[ridx] = r.runReduceChain(ridx, ridx%cfg.Nodes)
-		})
-		reexecWG.Wait()
-		for _, res := range reexecRes {
-			if res != nil && res.err != nil {
-				return nil, res.err
-			}
+	}
+	for ridx, ch := range redChains {
+		if ch.err != nil {
+			return nil, ch.err
 		}
-		for ridx, ch := range chains {
-			if ch.err != nil {
-				return nil, ch.err
-			}
-			redRes[ridx] = ch.winner
-			redExtra = append(redExtra, ch.extras...)
-		}
+		redRes[ridx] = ch.winner
+		redExtra = append(redExtra, ch.extras...)
 	}
 
 	// Re-executed map attempts are completed work and count like the
@@ -397,12 +364,10 @@ type mapResult struct {
 // segments (charging input I/O and CPU exactly as the engine does),
 // feed records through a fresh query instance into the platform
 // collector, write the map output for U3 accounting parity, and cache
-// it as a shuffle unit. Clean runs call it once per chunk with
-// attempt 0 and no injection; faulted runs drive it from attempt
-// chains (fault.go). When inject is set the attempt dies at the
-// spec's FailPoint through the chunk; when claim is non-nil the
-// attempt races a speculative twin and only the first to claim
-// publishes.
+// it as a shuffle unit. Attempt chains (fault.go) drive it. When
+// inject is set the attempt dies at the spec's FailPoint through the
+// chunk; when claim is non-nil the attempt races a speculative twin
+// and only the first to claim publishes.
 func (r *run) runMapAttempt(chunk, node, attempt int, inject bool, claim *atomic.Bool) (res *mapResult) {
 	res = &mapResult{node: node}
 	defer func() {
@@ -420,8 +385,7 @@ func (r *run) runMapAttempt(chunk, node, attempt int, inject bool, claim *atomic
 	cfg := &r.spec.Cluster
 	model := r.model
 
-	var coll collector
-	var hop *wallHopCollector
+	var coll task.Collector
 	switch r.spec.Platform {
 	case engine.SortMerge:
 		coll = sortmerge.NewMapCollector(rt, q, sortmerge.MapCollectorConfig{
@@ -432,8 +396,10 @@ func (r *run) runMapAttempt(chunk, node, attempt int, inject bool, claim *atomic
 			ReadSegment: cfg.ReadSegment,
 		})
 	case engine.HOP:
-		hop = newWallHOPCollector(r, rt, res, chunk, q)
-		coll = hop
+		coll = task.NewHOPCollector(rt, q, r.numReducers, cfg.MapBuffer, chunk,
+			func(name string, spill int, parts [][][]byte, _ int64) {
+				res.units = append(res.units, r.publish(p, st, name, chunk, spill, parts))
+			})
 	default:
 		coll = core.NewHashMapCollector(rt, q, r.numReducers, cfg.MapBuffer,
 			r.spec.Platform.Incremental())
@@ -450,7 +416,7 @@ func (r *run) runMapAttempt(chunk, node, attempt int, inject bool, claim *atomic
 	}
 	failAt := int64(-1)
 	if inject {
-		failAt = int64(r.flt.failPoint() * float64(len(data)))
+		failAt = int64(r.spec.Faults.FailFraction() * float64(len(data)))
 	}
 	t := &mapTask{run: r, res: res, q: q, wm: wm, coll: coll}
 	t.scratch = bytestore.Get(int(seg))
@@ -490,10 +456,7 @@ func (r *run) runMapAttempt(chunk, node, attempt int, inject bool, claim *atomic
 			// uses: all work done so far is discarded and wasted.
 			bytestore.Put(t.scratch)
 			res.failed = true
-			res.span = engine.Span{
-				Name: fmt.Sprintf("map%06d#%d", chunk, attempt), Kind: "map-failed", Node: node,
-				Start: time.Duration(taskStart), End: time.Duration(p.Now()),
-			}
+			res.span = mapSpan(p, chunk, attempt, "map-failed", node, taskStart)
 			return res
 		}
 	}
@@ -501,20 +464,15 @@ func (r *run) runMapAttempt(chunk, node, attempt int, inject bool, claim *atomic
 
 	parts, mapped, emitted := coll.Finish()
 	res.mapped, res.emitted = mapped, emitted
-	if r.flt != nil {
-		r.flt.slowSleep(node)
-	}
+	r.flt.slowSleep(node)
 	if claim != nil && !claim.CompareAndSwap(false, true) {
 		// The speculative twin claimed first: suppress the duplicate —
 		// nothing is published, the completed compute is wasted.
 		res.superseded = true
-		res.span = engine.Span{
-			Name: fmt.Sprintf("map%06d#%d", chunk, attempt), Kind: "map-superseded", Node: node,
-			Start: time.Duration(taskStart), End: time.Duration(p.Now()),
-		}
+		res.span = mapSpan(p, chunk, attempt, "map-superseded", node, taskStart)
 		return res
 	}
-	if hop == nil {
+	if r.spec.Platform != engine.HOP {
 		if r.comb != nil && r.comb.elig[chunk] {
 			// Node-combine: the output parks for the barrier fold instead
 			// of publishing; no U3 write happens here — the merged run is
@@ -525,11 +483,14 @@ func (r *run) runMapAttempt(chunk, node, attempt int, inject bool, claim *atomic
 				r.publish(p, st, fmt.Sprintf("map%06d.a%d.out", chunk, attempt), chunk, 0, parts))
 		}
 	}
-	res.span = engine.Span{
-		Name: fmt.Sprintf("map%06d#%d", chunk, attempt), Kind: "map", Node: node,
-		Start: time.Duration(taskStart), End: time.Duration(p.Now()),
-	}
+	res.span = mapSpan(p, chunk, attempt, "map", node, taskStart)
 	return res
+}
+
+// mapSpan records a map attempt's span, named by the shared rule.
+func mapSpan(p substrate.Proc, chunk, attempt int, kind string, node int, start int64) engine.Span {
+	return engine.Span{Name: task.MapSpan(fmt.Sprintf("map%06d", chunk), attempt), Kind: kind, Node: node,
+		Start: time.Duration(start), End: time.Duration(p.Now())}
 }
 
 // mapTask is the per-record state of one running map task.
@@ -538,7 +499,7 @@ type mapTask struct {
 	res     *mapResult
 	q       mr.Query
 	wm      mr.Watermarker
-	coll    collector
+	coll    task.Collector
 	scratch []byte
 	pairs   int64 // collector Add calls (emitted pairs) so far
 }
@@ -638,437 +599,15 @@ func (r *run) publish(p substrate.Proc, st *storage.Store, name string, chunk, s
 	return u
 }
 
-// wallHopCollector is the engine's hopCollector on the wall substrate:
-// map output is pushed eagerly, one sorted (optionally combined) spill
-// at a time, each spill becoming its own shuffle unit.
-type wallHopCollector struct {
-	r     *run
-	rt    *core.Runtime
-	res   *mapResult
-	chunk int
-	comb  mr.Combiner
-	h1    interface {
-		Bucket(key []byte, n int) int
-	}
-
-	buf     []byte
-	pk      []byte
-	spills  int
-	mapped  int64
-	emitted int64
-}
-
-func newWallHOPCollector(r *run, rt *core.Runtime, res *mapResult, chunk int, q mr.Query) *wallHopCollector {
-	h := &wallHopCollector{r: r, rt: rt, res: res, chunk: chunk, h1: rt.Fam.Fn(1)}
-	if c, ok := q.(mr.Combiner); ok {
-		h.comb = c
-	}
-	return h
-}
-
-// Add implements collector.
-func (h *wallHopCollector) Add(key, val []byte) {
-	h.mapped++
-	part := h.h1.Bucket(key, h.r.numReducers)
-	h.pk = append(h.pk[:0], byte(part>>8), byte(part))
-	h.pk = append(h.pk, key...)
-	h.buf = kvenc.AppendPair(h.buf, h.pk, val)
-	if int64(len(h.buf)) >= h.r.spec.Cluster.MapBuffer {
-		h.push()
-	}
-}
-
-// push sorts the buffer, applies the combiner, and publishes the spill
-// as its own shuffle unit.
-func (h *wallHopCollector) push() {
-	if len(h.buf) == 0 {
-		return
-	}
-	model := h.rt.Model
-	sorted, n := h.rt.SortStreamTo(bytestore.Get(len(h.buf)), h.buf)
-	h.rt.ChargeCPU(model.CPUSort(int64(n)))
-	h.buf = h.buf[:0]
-	if h.comb != nil {
-		out := bytestore.Get(len(sorted))
-		var records int64
-		if err := kvenc.MergeGroupsChecked([][]byte{sorted}, func(pk []byte, vals kvenc.ValueIter) bool {
-			grp := &kvenc.CountingIter{Inner: vals}
-			h.comb.Combine(pk[2:], grp, func(v []byte) {
-				out = kvenc.AppendPair(out, pk, v)
-			})
-			records += grp.N
-			return true
-		}); err != nil {
-			panic(fmt.Errorf("corrupt hop spill in map task %d: %w", h.chunk, err))
-		}
-		h.rt.ChargeOps(model.CPUCombine, records)
-		bytestore.Put(sorted)
-		sorted = out
-	}
-	parts := make([][][]byte, h.r.numReducers)
-	segs := make([][]byte, h.r.numReducers)
-	it := kvenc.NewIterator(sorted)
-	var emitted int64
-	for {
-		pk, v, ok := it.Next()
-		if !ok {
-			break
-		}
-		part := int(pk[0])<<8 | int(pk[1])
-		segs[part] = kvenc.AppendPair(segs[part], pk[2:], v)
-		emitted++
-	}
-	if err := it.Err(); err != nil {
-		panic(fmt.Errorf("corrupt hop spill in map task %d: %w", h.chunk, err))
-	}
-	bytestore.Put(sorted)
-	for pi, s := range segs {
-		if len(s) > 0 {
-			parts[pi] = [][]byte{s}
-		}
-	}
-	h.emitted += emitted
-	h.spills++
-	h.res.units = append(h.res.units, h.r.publish(h.rt.P, h.res.store,
-		fmt.Sprintf("map%06d.push%d", h.chunk, h.spills), h.chunk, h.spills, parts))
-}
-
-// Finish implements collector: HOP publishes incrementally, so only
-// the last buffered spill remains.
-func (h *wallHopCollector) Finish() ([][][]byte, int64, int64) {
-	h.push()
-	return nil, h.mapped, h.emitted
-}
-
 // reduceResult is one reduce attempt's outcome.
 type reduceResult struct {
-	store  *storage.Store
-	ledger int64
-
-	outRecords int64
-	outBytes   int64
+	store      *storage.Store
+	ledger     int64
+	out        task.Totals
 	approxKeys int64
-	outputs    [][2]string
 	failed     bool // injected failure: provisional output discarded, task restarts
 	span       engine.Span
 	err        error
-}
-
-// outputWriter is the wall-clock reduce output sink: it counts records
-// and charges ReduceOutput writes in Page-sized batches, like the
-// engine's write-behind queue.
-//
-// Under fault plans that can kill a reduce attempt after it has
-// emitted (injected reduce failures, node kills), the writer is
-// provisional: emissions buffer in the attempt until commit, so a
-// failed attempt's output vanishes without trace, and checkpoints
-// stage the buffered prefix so a restart does not re-emit it — the
-// same contract as the engine's provisional reduceOutput.
-type outputWriter struct {
-	p           substrate.Proc
-	st          *storage.Store
-	res         *reduceResult
-	flushAt     int64
-	collect     bool
-	pending     int64
-	provisional bool
-
-	urecords int64
-	ubytes   int64
-	staged   int64 // provisional bytes already charged by a checkpoint
-	urows    [][2]string
-}
-
-// Emit implements mr.OutputWriter.
-func (w *outputWriter) Emit(key, value []byte) {
-	sz := int64(len(key) + len(value) + 2)
-	if w.provisional {
-		w.urecords++
-		w.ubytes += sz
-		if w.collect {
-			w.urows = append(w.urows, [2]string{string(key), string(value)})
-		}
-		return
-	}
-	w.res.outRecords++
-	w.res.outBytes += sz
-	if w.collect {
-		w.res.outputs = append(w.res.outputs, [2]string{string(key), string(value)})
-	}
-	w.pending += sz
-	if w.pending >= w.flushAt {
-		w.flush()
-	}
-}
-
-func (w *outputWriter) flush() {
-	if w.pending > 0 {
-		w.st.ChargeOutputWrite(w.p, w.pending)
-		w.pending = 0
-	}
-}
-
-// commit folds the provisional buffer into the attempt's result at
-// successful completion; bytes a checkpoint already staged are not
-// re-charged.
-func (w *outputWriter) commit() {
-	if !w.provisional {
-		return
-	}
-	w.res.outRecords += w.urecords
-	w.res.outBytes += w.ubytes
-	w.res.outputs = append(w.res.outputs, w.urows...)
-	w.pending += w.ubytes - w.staged
-	w.urecords, w.ubytes, w.staged, w.urows = 0, 0, 0, nil
-}
-
-// stageInto persists the provisional prefix with a checkpoint: the
-// delta since the last stage is charged now, and the checkpoint
-// snapshots the buffered rows (capacity-clipped so later emissions
-// cannot alias into the snapshot).
-func (w *outputWriter) stageInto(ck *rckpt) {
-	if !w.provisional {
-		return
-	}
-	if delta := w.ubytes - w.staged; delta > 0 {
-		w.st.ChargeOutputWrite(w.p, delta)
-	}
-	w.staged = w.ubytes
-	w.urows = w.urows[:len(w.urows):len(w.urows)]
-	ck.outRecords, ck.outBytes, ck.outRows = w.urecords, w.ubytes, w.urows
-}
-
-// restoreFrom preloads the provisional buffer from a checkpoint at
-// restart: the staged prefix is already on disk, so only post-restore
-// emissions will be charged.
-func (w *outputWriter) restoreFrom(ck *rckpt) {
-	if !w.provisional {
-		return
-	}
-	w.urecords, w.ubytes, w.staged = ck.outRecords, ck.outBytes, ck.outBytes
-	w.urows = ck.outRows
-}
-
-// discard drops the provisional buffer when an attempt fails.
-func (w *outputWriter) discard() {
-	w.urecords, w.ubytes, w.staged, w.urows = 0, 0, 0, nil
-	w.pending = 0
-}
-
-// snapshotWriter sinks approximate HOP snapshot output: records count
-// separately from the final answers, bytes are written back like
-// reduce output.
-type snapshotWriter struct {
-	r       *run
-	p       substrate.Proc
-	st      *storage.Store
-	pending int64
-}
-
-// Emit implements mr.OutputWriter.
-func (w *snapshotWriter) Emit(key, value []byte) {
-	w.r.snapshotRecords.Add(1)
-	w.pending += int64(len(key) + len(value) + 2)
-}
-
-func (w *snapshotWriter) flush() {
-	if w.pending > 0 {
-		w.st.ChargeOutputWrite(w.p, w.pending)
-		w.pending = 0
-	}
-}
-
-// reducers bundles the platform reducer one attempt drives; exactly
-// one field is non-nil.
-type reducers struct {
-	smr   *sortmerge.Reducer
-	mrh   *core.MRHashReducer
-	inch  *core.INCHashReducer
-	dinch *core.DINCHashReducer
-}
-
-func (red *reducers) incremental() bool { return red.inch != nil || red.dinch != nil }
-
-// buildReducers constructs the platform reducer for one attempt with
-// the same configuration on every attempt (only the store prefix
-// varies), so replayed attempts recompute identically.
-func (r *run) buildReducers(rt *core.Runtime, q mr.Query, out *outputWriter, prefix string) *reducers {
-	cfg := &r.spec.Cluster
-	red := &reducers{}
-	switch r.spec.Platform {
-	case engine.SortMerge, engine.HOP:
-		red.smr = sortmerge.NewReducer(rt, q, sortmerge.ReducerConfig{
-			Prefix:      prefix,
-			Buffer:      cfg.ReduceBuffer,
-			MergeFactor: cfg.MergeFactor,
-			ReadSegment: cfg.ReadSegment,
-		})
-	case engine.MRHash:
-		red.mrh = core.NewMRHashReducer(rt, q, core.MRHashConfig{
-			Prefix:        prefix,
-			MemBudget:     cfg.ReduceBuffer,
-			Page:          cfg.Page,
-			ReadSegment:   cfg.ReadSegment,
-			ExpectedBytes: r.expectedReducerBytes(),
-		})
-	case engine.INCHash:
-		red.inch = core.NewINCHashReducer(rt, q, core.INCHashConfig{
-			Prefix:             prefix,
-			MemBudget:          cfg.ReduceBuffer,
-			Page:               cfg.Page,
-			ReadSegment:        cfg.ReadSegment,
-			ExpectedStateBytes: r.expectedReducerStateBytes(),
-		}, out)
-	case engine.DINCHash:
-		red.dinch = core.NewDINCHashReducer(rt, q, core.DINCHashConfig{
-			Prefix:               prefix,
-			MemBudget:            cfg.ReduceBuffer,
-			Page:                 cfg.Page,
-			ReadSegment:          cfg.ReadSegment,
-			ExpectedDistinctKeys: r.spec.Hints.DistinctKeys / int64(r.numReducers),
-			KeyBytes:             16,
-			CoverageThreshold:    r.spec.CoverageThreshold,
-			ScanEvery:            r.spec.ScanEvery,
-		}, out)
-	}
-	return red
-}
-
-// feedUnit drives one cached unit's partition for ridx into the
-// platform reducer, charging consume CPU. Callers skip it for empty
-// partitions.
-func (r *run) feedUnit(rt *core.Runtime, red *reducers, u *unit, ridx int) {
-	segs := u.parts[ridx]
-	size := u.partBytes[ridx]
-	model := r.model
-	var records int64
-	switch {
-	case red.smr != nil:
-		for _, seg := range segs {
-			records += int64(kvenc.Count(seg))
-			red.smr.Consume(seg)
-		}
-		rt.ChargeCPU(model.CPUOps(model.CPUParseByte, size))
-	default:
-		for _, seg := range segs {
-			it := kvenc.NewIterator(seg)
-			for {
-				k, v, more := it.Next()
-				if !more {
-					break
-				}
-				records++
-				switch {
-				case red.mrh != nil:
-					red.mrh.Consume(k, v)
-				case red.inch != nil:
-					red.inch.Consume(k, v)
-				default:
-					red.dinch.Consume(k, v)
-				}
-			}
-			if err := it.Err(); err != nil {
-				panic(fmt.Errorf("corrupt shuffle segment from map task %d: %w", u.chunk, err))
-			}
-		}
-		per := model.CPUHashInsert
-		if r.spec.Platform.Incremental() {
-			per += model.CPUCombine
-		}
-		rt.ChargeCPU(model.CPUOps(per, records))
-	}
-}
-
-// finish runs the platform's finalization into out.
-func (r *run) finishReducer(red *reducers, out *outputWriter, res *reduceResult) {
-	switch {
-	case red.smr != nil:
-		red.smr.PrepareFinal()
-		red.smr.Finish(out)
-	case red.mrh != nil:
-		red.mrh.Finish(out)
-	case red.inch != nil:
-		red.inch.Finish()
-	default:
-		red.dinch.Finish()
-		res.approxKeys = red.dinch.ApproxKeys()
-	}
-}
-
-// runReduceTask executes one clean reduce task: consume every cached
-// shuffle unit's partition in fixed order through the platform
-// reducer, then finish. The map barrier has already advanced the
-// watermark to the global maximum, exactly the horizon
-// reference.RunWithWatermarks reduces under. Faulted runs use
-// runReduceChain (fault.go) instead.
-func (r *run) runReduceTask(ridx, node int) (res *reduceResult) {
-	res = &reduceResult{}
-	defer func() {
-		if rec := recover(); rec != nil {
-			res.err = fmt.Errorf("realexec: reduce task %d: %v", ridx, rec)
-		}
-	}()
-	p := substrate.NewWallProc(r.start)
-	taskStart := p.Now()
-	st := r.newStore(node)
-	res.store = st
-	rt := r.newRuntime(p, st, &res.ledger)
-	q := r.newQ()
-	if wm, ok := q.(mr.Watermarker); ok && r.hasWM {
-		wm.AdvanceWatermark(r.globalWM)
-	}
-	cfg := &r.spec.Cluster
-	out := &outputWriter{p: p, st: st, res: res, flushAt: cfg.Page, collect: r.spec.CollectOutput}
-	red := r.buildReducers(rt, q, out, fmt.Sprintf("r%03d", ridx))
-
-	// Shuffle loop over the cached units. Every fetch is served from
-	// memory; the map barrier pins the progress fraction at 1, so HOP
-	// snapshots all fire after the first consumed unit — deterministic
-	// for any worker count.
-	nextSnap := r.spec.SnapshotEvery
-	for _, u := range r.units {
-		if u.partBytes[ridx] > 0 {
-			r.memFetches.Add(1)
-			r.feedUnit(rt, red, u, ridx)
-		}
-		r.fetchesDone.Add(1)
-
-		if red.smr != nil && r.spec.SnapshotEvery > 0 {
-			for nextSnap < 1 {
-				snap := &snapshotWriter{r: r, p: p, st: st}
-				red.smr.Snapshot(snap)
-				snap.flush()
-				nextSnap += r.spec.SnapshotEvery
-			}
-		}
-		if red.smr != nil && red.smr.Tree().NeedsMerge() {
-			for red.smr.Tree().NeedsMerge() {
-				red.smr.Tree().MergeOnce(p, red.smr.Charger())
-			}
-		}
-	}
-
-	r.finishReducer(red, out, res)
-	out.flush()
-	res.span = engine.Span{
-		Name: fmt.Sprintf("reduce%03d", ridx), Kind: "reduce", Node: node,
-		Start: time.Duration(taskStart), End: time.Duration(p.Now()),
-	}
-	return res
-}
-
-// expectedReducerBytes estimates |D_r| from the input size and Km.
-func (r *run) expectedReducerBytes() int64 {
-	return int64(float64(r.inputBytesEst) * r.spec.Hints.Km / float64(r.numReducers))
-}
-
-// expectedReducerStateBytes estimates Δ at one reducer.
-func (r *run) expectedReducerStateBytes() int64 {
-	stateSize := int64(64)
-	if inc, ok := r.spec.Query.(mr.Incremental); ok {
-		stateSize = int64(inc.StateSize() + 24)
-	}
-	return r.spec.Hints.DistinctKeys * stateSize / int64(r.numReducers)
 }
 
 // report assembles the engine.Report. All answer-stable fields are sums
@@ -1141,11 +680,11 @@ func (r *run) report(mapDone, mapExtra []*mapResult, redDone, redExtra []*reduce
 	for _, rres := range redDone {
 		c.Add(rres.store.Counters())
 		reduceCPU += rres.ledger
-		rep.OutputRecords += rres.outRecords
+		rep.OutputRecords += rres.out.Records
 		rep.ApproxKeys += rres.approxKeys
 		rep.IORetries += rres.store.IORetries()
 		rep.CorruptFramesDetected += rres.store.CorruptFramesDetected()
-		rep.Outputs = append(rep.Outputs, rres.outputs...)
+		rep.Outputs = append(rep.Outputs, rres.out.Rows...)
 		rep.Spans = append(rep.Spans, rres.span)
 	}
 	for _, rres := range redExtra {
