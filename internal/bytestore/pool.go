@@ -77,13 +77,33 @@ func Get(n int) []byte {
 	return make([]byte, 0, 1<<(uint(c)+poolMinBits))
 }
 
+// collectCap bounds the buffer GetCollect takes up front, so a small
+// chunk under a huge B_m does not pin a huge buffer.
+const collectCap = 16 << 20
+
+// GetCollect returns a map task's pooled collect buffer for a B_m
+// budget of budget bytes: the largest size class within the budget,
+// capped at collectCap. Rounding down keeps a task's buffer within
+// B_m — every map task in flight holds one, and rounding up would
+// nearly double that for budgets just past a class. Output that
+// outgrows the buffer grows it by append; that happens only within
+// one class of B_m, where the collector is about to spill anyway.
+// The collector hands the buffer back with Put when it finishes.
+func GetCollect(budget int64) []byte {
+	n := int(min(budget, collectCap))
+	if n <= 1<<poolMinBits {
+		return Get(n)
+	}
+	return Get(1 << (bits.Len(uint(n)) - 1))
+}
+
 // Put recycles a buffer for a future Get. The caller must not retain
 // any alias of b (including sub-slices stored elsewhere); Put of a
 // still-referenced buffer is the classic recycled-buffer corruption
 // bug, so call sites hand buffers back only after the data has been
-// copied out (storage.Append copies) or consumed. Putting nil or a
-// tiny buffer is a no-op; classes keep at most poolPerClassCap
-// buffers and drop the rest to the GC.
+// copied out (into a storage file or a new encoded buffer) or
+// consumed. Putting nil or a tiny buffer is a no-op; classes keep at
+// most poolPerClassCap buffers and drop the rest to the GC.
 func Put(b []byte) {
 	c := classOf(cap(b))
 	if c < 0 {

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"encoding/binary"
+	"fmt"
 
 	"repro/internal/bytestore"
 	"repro/internal/hashfam"
@@ -20,6 +20,9 @@ import (
 // the budget (C·Km > B_m), the collector emits the current content as
 // a finished segment and continues — hash map output never needs the
 // external sort-and-merge that the sort-merge collector pays for.
+// Without a table, pairs collect partition-tagged in arrival order in
+// one pooled buffer; a flush scatters them into one exact-size buffer
+// of per-partition segments (kvenc.SplitPartitions).
 type HashMapCollector struct {
 	rt       *Runtime
 	r        int // number of partitions (reducers)
@@ -34,11 +37,13 @@ type HashMapCollector struct {
 	// combining path
 	table *bytestore.Table
 
-	// raw path
-	raw      []*bytestore.KVBuffer
+	// raw path: partition-tagged pairs in arrival order, in a pooled
+	// buffer returned by Finish; rawBytes is their untagged encoded
+	// size, which the budget is charged with
+	raw      []byte
 	rawBytes int64
 
-	pk []byte // partition-prefix scratch, reused across Add calls
+	pk []byte // compound-key scratch, reused across Add calls
 
 	parts [][][]byte // finished segments per partition
 }
@@ -73,7 +78,11 @@ func NewHashMapCollector(rt *Runtime, q mr.Query, r int, budget int64, increment
 	case isComb:
 		c.comb = comb
 	}
-	c.reset()
+	if c.Combining() {
+		c.table = bytestore.NewTable(rt.Fam.Fn(2), budget)
+	} else {
+		c.raw = bytestore.GetCollect(budget)
+	}
 	return c
 }
 
@@ -82,50 +91,19 @@ func NewHashMapCollector(rt *Runtime, q mr.Query, r int, budget int64, increment
 // record); init-only pass-through does not count.
 func (c *HashMapCollector) Combining() bool { return c.inc != nil || c.comb != nil }
 
-func (c *HashMapCollector) reset() {
-	if c.inc != nil || c.comb != nil {
-		c.table = bytestore.NewTable(c.rt.Fam.Fn(2), c.budget)
-		return
-	}
-	if c.raw == nil {
-		c.raw = make([]*bytestore.KVBuffer, c.r)
-		for i := range c.raw {
-			c.raw[i] = bytestore.NewKVBuffer(c.budget)
-		}
-	}
-	c.rawBytes = 0
-}
-
-// prefixKey prepends the 2-byte partition id, building the compound
-// key in the collector's reused scratch buffer — safe because the
-// table copies keys into its arena on insert and only reads the
-// compound key transiently on lookup.
-func (c *HashMapCollector) prefixKey(part int, key []byte) []byte {
-	c.pk = append(c.pk[:0], byte(part>>8), byte(part))
-	c.pk = append(c.pk, key...)
-	return c.pk
-}
-
-// splitPrefixed strips the partition prefix.
-func splitPrefixed(pk []byte) (part int, key []byte) {
-	return int(binary.BigEndian.Uint16(pk)), pk[2:]
-}
-
 // Add collects one map-output pair.
 func (c *HashMapCollector) Add(key, val []byte) {
 	c.mapped++
 	part := c.h1.Bucket(key, c.r)
 	switch {
 	case c.initOnly != nil:
-		st := c.initOnly.Init(key, val)
-		need := bytestore.PairBytes(len(key), len(st))
-		if c.rawBytes+need > c.budget && c.rawBytes > 0 {
-			c.flushRaw()
-		}
-		c.raw[part].Append(key, st)
-		c.rawBytes += need
+		c.addRaw(part, key, c.initOnly.Init(key, val))
 	case c.inc != nil:
-		pk := c.prefixKey(part, key)
+		// The compound key is built in reused scratch: the table copies
+		// keys into its arena on insert and reads them transiently on
+		// lookup.
+		c.pk = kvenc.AppendPartitionKey(c.pk[:0], part, key)
+		pk := c.pk
 		st := c.inc.Init(key, val)
 		cur, found, ok := c.table.UpsertState(pk, len(st), c.inc.StateSize())
 		if !ok {
@@ -147,19 +125,25 @@ func (c *HashMapCollector) Add(key, val []byte) {
 			copy(st2, st)
 		}
 	case c.comb != nil:
-		pk := c.prefixKey(part, key)
-		if !c.table.AppendValue(pk, val) {
+		c.pk = kvenc.AppendPartitionKey(c.pk[:0], part, key)
+		if !c.table.AppendValue(c.pk, val) {
 			c.flushTable()
-			c.table.AppendValue(pk, val)
+			c.table.AppendValue(c.pk, val)
 		}
 	default:
-		need := bytestore.PairBytes(len(key), len(val))
-		if c.rawBytes+need > c.budget && c.rawBytes > 0 {
-			c.flushRaw()
-		}
-		c.raw[part].Append(key, val)
-		c.rawBytes += need
+		c.addRaw(part, key, val)
 	}
+}
+
+// addRaw collects one pair on the raw path, flushing first when it
+// would overflow the budget.
+func (c *HashMapCollector) addRaw(part int, key, val []byte) {
+	need := bytestore.PairBytes(len(key), len(val))
+	if c.rawBytes+need > c.budget && c.rawBytes > 0 {
+		c.flushRaw()
+	}
+	c.raw = kvenc.AppendPartitionPair(c.raw, part, key, val)
+	c.rawBytes += need
 }
 
 // flushTable emits the table contents as one finished segment per
@@ -177,7 +161,7 @@ func (c *HashMapCollector) flushTable() {
 	}
 	perPart := make([][]entry, c.r)
 	c.table.Range(func(pk, state []byte, values func(func([]byte))) bool {
-		part, key := splitPrefixed(pk)
+		part, key := kvenc.SplitPartitionKey(pk)
 		perPart[part] = append(perPart[part], entry{key: key, state: state, values: values})
 		return true
 	})
@@ -213,20 +197,28 @@ func (c *HashMapCollector) flushTable() {
 		c.outRecs += n
 	}
 	c.appendSegments(segs)
-	c.reset()
+	c.table = bytestore.NewTable(c.rt.Fam.Fn(2), c.budget)
 }
 
-// flushRaw emits the raw per-partition buffers as segments.
+// flushRaw scatters the raw buffer into per-partition segments, each
+// keeping arrival order, and empties the buffer.
 func (c *HashMapCollector) flushRaw() {
-	segs := make([][]byte, c.r)
-	for i, buf := range c.raw {
-		if buf.Len() > 0 {
-			segs[i] = append([]byte(nil), buf.Bytes()...)
-			c.outRecs += int64(buf.Len())
-			buf.Reset()
+	if len(c.raw) == 0 {
+		return
+	}
+	parts, n, err := kvenc.SplitPartitions(c.raw, c.r)
+	if err != nil {
+		panic(fmt.Errorf("core: corrupt map collect buffer: %w", err))
+	}
+	for part, segs := range parts {
+		if c.parts[part] == nil {
+			c.parts[part] = segs // the first flush's list is kept, not copied
+		} else {
+			c.parts[part] = append(c.parts[part], segs...)
 		}
 	}
-	c.appendSegments(segs)
+	c.outRecs += n
+	c.raw = c.raw[:0]
 	c.rawBytes = 0
 }
 
@@ -246,10 +238,12 @@ func (c *HashMapCollector) appendSegments(segs [][]byte) {
 // Finish flushes remaining state and returns the per-partition
 // segments plus the record counts (collected, emitted).
 func (c *HashMapCollector) Finish() (parts [][][]byte, mapped, emitted int64) {
-	if c.inc != nil || c.comb != nil {
+	if c.Combining() {
 		c.flushTable()
 	} else {
 		c.flushRaw()
+		bytestore.Put(c.raw)
+		c.raw = nil
 	}
 	return c.parts, c.mapped, c.outRecs
 }

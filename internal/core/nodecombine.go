@@ -106,8 +106,7 @@ func (nc *NodeCombiner) Absorb(parts [][][]byte) int64 {
 // add folds one pair into the table, flushing on budget overflow
 // exactly like the map collector.
 func (nc *NodeCombiner) add(part int, key, val []byte) {
-	nc.pk = append(nc.pk[:0], byte(part>>8), byte(part))
-	nc.pk = append(nc.pk, key...)
+	nc.pk = kvenc.AppendPartitionKey(nc.pk[:0], part, key)
 	pk := nc.pk
 	if nc.inc != nil {
 		cur, found, ok := nc.table.UpsertState(pk, len(val), nc.inc.StateSize())
@@ -152,7 +151,7 @@ func (nc *NodeCombiner) flushTable() {
 	}
 	perPart := make([][]entry, nc.r)
 	nc.table.Range(func(pk, state []byte, values func(func(val []byte))) bool {
-		part, key := splitPrefixed(pk)
+		part, key := kvenc.SplitPartitionKey(pk)
 		perPart[part] = append(perPart[part], entry{key: key, state: state, values: values})
 		return true
 	})

@@ -191,7 +191,7 @@ func (rc *rcombine) foldGroup(g *rcGroup, mapRes []*mapResult) (res *rcResult) {
 		})
 	}
 
-	res.unit = r.publish(p, st, fmt.Sprintf("ncomb.g%03d.out", g.idx), g.chunk0, 0, final)
+	res.unit = r.publish(p, st, g.chunk0, 0, final)
 	for _, b := range res.unit.partBytes {
 		res.published += b
 	}

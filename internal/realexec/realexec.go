@@ -363,11 +363,11 @@ type mapResult struct {
 // runMapAttempt executes one map task attempt: read the chunk in
 // segments (charging input I/O and CPU exactly as the engine does),
 // feed records through a fresh query instance into the platform
-// collector, write the map output for U3 accounting parity, and cache
-// it as a shuffle unit. Attempt chains (fault.go) drive it. When
-// inject is set the attempt dies at the spec's FailPoint through the
-// chunk; when claim is non-nil the attempt races a speculative twin
-// and only the first to claim publishes.
+// collector, charge the map output write (U3) as the engine does, and
+// cache the output as a shuffle unit. Attempt chains (fault.go) drive
+// it. When inject is set the attempt dies at the spec's FailPoint
+// through the chunk; when claim is non-nil the attempt races a
+// speculative twin and only the first to claim publishes.
 func (r *run) runMapAttempt(chunk, node, attempt int, inject bool, claim *atomic.Bool) (res *mapResult) {
 	res = &mapResult{node: node}
 	defer func() {
@@ -397,8 +397,8 @@ func (r *run) runMapAttempt(chunk, node, attempt int, inject bool, claim *atomic
 		})
 	case engine.HOP:
 		coll = task.NewHOPCollector(rt, q, r.numReducers, cfg.MapBuffer, chunk,
-			func(name string, spill int, parts [][][]byte, _ int64) {
-				res.units = append(res.units, r.publish(p, st, name, chunk, spill, parts))
+			func(_ string, spill int, parts [][][]byte, _ int64) {
+				res.units = append(res.units, r.publish(p, st, chunk, spill, parts))
 			})
 	default:
 		coll = core.NewHashMapCollector(rt, q, r.numReducers, cfg.MapBuffer,
@@ -479,8 +479,7 @@ func (r *run) runMapAttempt(chunk, node, attempt int, inject bool, claim *atomic
 			// the only MapOutput-class write, exactly as on the engine.
 			res.parts = parts
 		} else {
-			res.units = append(res.units,
-				r.publish(p, st, fmt.Sprintf("map%06d.a%d.out", chunk, attempt), chunk, 0, parts))
+			res.units = append(res.units, r.publish(p, st, chunk, 0, parts))
 		}
 	}
 	res.span = mapSpan(p, chunk, attempt, "map", node, taskStart)
@@ -571,31 +570,24 @@ func (t *mapTask) quarantineRecord(line []byte) {
 	t.record(line)
 }
 
-// publish writes the per-partition segments to the task's store (U3,
-// kept for accounting parity with the engine even though the shuffle
-// never reads it back) and returns the in-memory shuffle unit.
-func (r *run) publish(p substrate.Proc, st *storage.Store, name string, chunk, seq int, parts [][][]byte) *unit {
+// publish charges the map output write (U3) to the task's store and
+// returns the in-memory shuffle unit. The write is charge-only: the
+// shuffle serves the segments from memory and never reads a file
+// back, so the store charges exactly what the engine's
+// publishMapOutput does (one request, one checksum frame per
+// partition region) without holding a copy of the bytes.
+func (r *run) publish(p substrate.Proc, st *storage.Store, chunk, seq int, parts [][][]byte) *unit {
 	u := &unit{chunk: chunk, seq: seq, parts: parts, partBytes: make([]int64, len(parts))}
-	var total int
-	for _, segs := range parts {
-		for _, s := range segs {
-			total += len(s)
-		}
-	}
-	all := bytestore.Get(total)
+	var total int64
 	for pi, segs := range parts {
 		for _, s := range segs {
-			all = append(all, s...)
 			u.partBytes[pi] += int64(len(s))
 		}
+		total += u.partBytes[pi]
 	}
-	f := st.Create(name, storage.MapOutput)
-	if len(all) > 0 {
-		// One write request, one checksum frame per partition region,
-		// like the engine's publishMapOutput.
-		st.AppendFrames(p, f, all, storage.MapOutput, u.partBytes)
+	if total > 0 {
+		st.ChargeWrite(p, storage.MapOutput, u.partBytes)
 	}
-	bytestore.Put(all)
 	return u
 }
 

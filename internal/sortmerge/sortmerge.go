@@ -3,8 +3,8 @@
 //
 // Map side: output pairs accumulate in a buffer of size B_m tagged
 // with their partition; the buffer is sorted on the compound
-// (partition, key) — realized here by prefixing keys with a 2-byte
-// partition id — and written as a spill. If a chunk's output exceeds
+// (partition, key) — realized here by kvenc's 2-byte partition prefix
+// on each key — and written as a spill. If a chunk's output exceeds
 // the buffer (C·Km > B_m), external sorting kicks in: spills form a
 // multi-pass merge tree (the U2 term of Proposition 3.1) whose final
 // merge produces the single sorted, partitioned map output.
@@ -19,7 +19,6 @@
 package sortmerge
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/bytestore"
@@ -30,20 +29,6 @@ import (
 	"repro/internal/storage"
 	"repro/internal/substrate"
 )
-
-// appendPrefixKey appends the 2-byte big-endian partition id followed
-// by the key, so one sort orders by (partition, key), as Hadoop does.
-// Appending into a per-collector scratch buffer keeps the per-record
-// collect path allocation-free (the encoded pair is copied into the
-// collect buffer immediately, so reusing the scratch is safe).
-func appendPrefixKey(dst []byte, part int, key []byte) []byte {
-	dst = append(dst, byte(part>>8), byte(part))
-	return append(dst, key...)
-}
-
-func splitPrefixed(pk []byte) (part int, key []byte) {
-	return int(binary.BigEndian.Uint16(pk)), pk[2:]
-}
 
 // charger adapts a task runtime to merge.CPUCharger.
 type charger struct{ rt *core.Runtime }
@@ -71,19 +56,16 @@ type MapCollector struct {
 	}
 	comb mr.Combiner
 
-	buf     []byte
-	bufRecs int64
-	pk      []byte // prefixKey scratch, reused across Add calls
-	tree    *merge.Tree
+	buf  []byte // pooled collect buffer, returned to the pool by Finish
+	tree *merge.Tree
 
-	mapped  int64
-	emitted int64
+	mapped int64
 }
 
 // NewMapCollector creates the collector. If q implements mr.Combiner,
 // the combine function is applied to each sorted spill.
 func NewMapCollector(rt *core.Runtime, q mr.Query, cfg MapCollectorConfig) *MapCollector {
-	c := &MapCollector{rt: rt, cfg: cfg, h1: rt.Fam.Fn(1)}
+	c := &MapCollector{rt: rt, cfg: cfg, h1: rt.Fam.Fn(1), buf: bytestore.GetCollect(cfg.Buffer)}
 	if comb, ok := q.(mr.Combiner); ok {
 		c.comb = comb
 	}
@@ -93,10 +75,7 @@ func NewMapCollector(rt *core.Runtime, q mr.Query, cfg MapCollectorConfig) *MapC
 // Add collects one map output pair.
 func (c *MapCollector) Add(key, val []byte) {
 	c.mapped++
-	part := c.h1.Bucket(key, c.cfg.Partitions)
-	c.pk = appendPrefixKey(c.pk[:0], part, key)
-	c.buf = kvenc.AppendPair(c.buf, c.pk, val)
-	c.bufRecs++
+	c.buf = kvenc.AppendPartitionPair(c.buf, c.h1.Bucket(key, c.cfg.Partitions), key, val)
 	if int64(len(c.buf)) >= c.cfg.Buffer {
 		c.spill()
 	}
@@ -116,7 +95,6 @@ func (c *MapCollector) sortBuffer() []byte {
 		sorted = combined
 	}
 	c.buf = c.buf[:0] // collect buffer is recycled in place
-	c.bufRecs = 0
 	return sorted
 }
 
@@ -126,7 +104,7 @@ func (c *MapCollector) combineRun(run []byte) []byte {
 	out := bytestore.Get(len(run))
 	var records int64
 	if err := kvenc.MergeGroupsChecked([][]byte{run}, func(pk []byte, vals kvenc.ValueIter) bool {
-		_, key := splitPrefixed(pk)
+		_, key := kvenc.SplitPartitionKey(pk)
 		grp := &kvenc.CountingIter{Inner: vals}
 		c.comb.Combine(key, grp, func(v []byte) {
 			out = kvenc.AppendPair(out, pk, v)
@@ -155,8 +133,10 @@ func (c *MapCollector) spill() {
 }
 
 // Finish sorts/merges everything and returns one sorted segment per
-// partition plus (collected, emitted) record counts. SpilledBytes
-// reports the map-internal spill (U2).
+// partition plus (collected, emitted) record counts. The segments
+// share one exact-size buffer owned by the shuffle
+// (kvenc.SplitPartitions); the collect buffer goes back to the pool.
+// SpilledBytes reports the map-internal spill (U2).
 func (c *MapCollector) Finish() (parts [][][]byte, mapped, emitted int64) {
 	var final []byte
 	if c.tree == nil {
@@ -183,28 +163,14 @@ func (c *MapCollector) Finish() (parts [][][]byte, mapped, emitted int64) {
 		}
 		c.rt.ChargeOps(c.rt.Model.CPUMergeRecord, int64(kvenc.Count(final)))
 	}
-	parts = make([][][]byte, c.cfg.Partitions)
-	segs := make([][]byte, c.cfg.Partitions)
-	it := kvenc.NewIterator(final)
-	for {
-		pk, v, ok := it.Next()
-		if !ok {
-			break
-		}
-		part, key := splitPrefixed(pk)
-		segs[part] = kvenc.AppendPair(segs[part], key, v)
-		c.emitted++
-	}
-	if err := it.Err(); err != nil {
+	bytestore.Put(c.buf)
+	c.buf = nil
+	parts, emitted, err := kvenc.SplitPartitions(final, c.cfg.Partitions)
+	if err != nil {
 		panic(fmt.Errorf("sortmerge: corrupt final run in %s: %w", c.cfg.Prefix, err))
 	}
-	bytestore.Put(final) // per-partition segments copied out above
-	for p, s := range segs {
-		if len(s) > 0 {
-			parts[p] = [][]byte{s}
-		}
-	}
-	return parts, c.mapped, c.emitted
+	bytestore.Put(final)
+	return parts, c.mapped, emitted
 }
 
 // SpilledBytes returns the map-internal spill bytes (0 if the chunk's

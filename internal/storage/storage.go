@@ -403,6 +403,32 @@ func (s *Store) AppendFrames(p substrate.Proc, f *File, data []byte, class IOCla
 	}
 }
 
+// ChargeWrite charges a write of segments with the given lengths as
+// one request to class's device, exactly as Create plus
+// AppendFrames(data, lens) would — payload and request counters, one
+// frame's overhead per non-empty segment when checksums are on, arm
+// time and injected transient I/O errors — but retains no bytes. The
+// real backend's map output (U3) uses it: its shuffle serves segments
+// from memory and never reads the file back.
+func (s *Store) ChargeWrite(p substrate.Proc, class IOClass, lens []int64) {
+	var n, ovh int64
+	for _, ln := range lens {
+		n += ln
+		if s.Checksums && ln > 0 {
+			ovh += frame.Overhead(int(ln))
+		}
+	}
+	s.counters.OverheadBytes[class] += ovh
+	s.request(p, nil, s.deviceFor(class), n+ovh, class)
+	s.counters.WrittenBytes[class] += n
+	s.counters.WriteReqs[class]++
+	// AppendFrames draws once for bit-flip corruption here; with no
+	// bytes to flip, only the draw sequence is kept in step.
+	if fl := s.faults; fl != nil && s.Checksums && n > 0 && fl.Classes[class] && fl.window(p.Now()) {
+		s.faultSeq++
+	}
+}
+
 // verifySpans re-verifies every frame overlapping [off, end) and
 // returns the framing bytes those frames carry. Edge frames are
 // verified whole (their payload is memory-resident); only the

@@ -34,8 +34,7 @@ type HOPCollector struct {
 	chunk      int
 	publish    Publish
 
-	buf     []byte
-	pk      []byte // partition-prefix scratch, reused across Add calls
+	buf     []byte // pooled collect buffer, returned to the pool by Finish
 	spills  int
 	mapped  int64
 	emitted int64
@@ -44,19 +43,16 @@ type HOPCollector struct {
 // NewHOPCollector returns map task chunk's collector, pushing a spill
 // whenever buffer bytes have accumulated.
 func NewHOPCollector(rt *core.Runtime, q mr.Query, partitions int, buffer int64, chunk int, publish Publish) *HOPCollector {
-	h := &HOPCollector{rt: rt, h1: rt.Fam.Fn(1), partitions: partitions, buffer: buffer, chunk: chunk, publish: publish}
+	h := &HOPCollector{rt: rt, h1: rt.Fam.Fn(1), partitions: partitions, buffer: buffer, chunk: chunk, publish: publish,
+		buf: bytestore.GetCollect(buffer)}
 	h.comb, _ = q.(mr.Combiner)
 	return h
 }
 
-// Add implements Collector. The partition-prefixed key is built in a
-// reused scratch buffer; AppendPair copies it into the collect buffer.
+// Add implements Collector.
 func (h *HOPCollector) Add(key, val []byte) {
 	h.mapped++
-	part := h.h1.Bucket(key, h.partitions)
-	h.pk = append(h.pk[:0], byte(part>>8), byte(part))
-	h.pk = append(h.pk, key...)
-	h.buf = kvenc.AppendPair(h.buf, h.pk, val)
+	h.buf = kvenc.AppendPartitionPair(h.buf, h.h1.Bucket(key, h.partitions), key, val)
 	if int64(len(h.buf)) >= h.buffer {
 		h.push()
 	}
@@ -76,8 +72,9 @@ func (h *HOPCollector) push() {
 		out := bytestore.Get(len(sorted))
 		var records int64
 		if err := kvenc.MergeGroupsChecked([][]byte{sorted}, func(pk []byte, vals kvenc.ValueIter) bool {
+			_, key := kvenc.SplitPartitionKey(pk)
 			grp := &kvenc.CountingIter{Inner: vals}
-			h.comb.Combine(pk[2:], grp, func(v []byte) {
+			h.comb.Combine(key, grp, func(v []byte) {
 				out = kvenc.AppendPair(out, pk, v)
 			})
 			records += grp.N
@@ -89,25 +86,11 @@ func (h *HOPCollector) push() {
 		bytestore.Put(sorted)
 		sorted = out
 	}
-	// Split the sorted compound run into per-partition segments.
-	parts := make([][][]byte, h.partitions)
-	segs := make([][]byte, h.partitions)
-	it := kvenc.NewIterator(sorted)
-	var emitted int64
-	for pk, v, ok := it.Next(); ok; pk, v, ok = it.Next() {
-		part := int(pk[0])<<8 | int(pk[1])
-		segs[part] = kvenc.AppendPair(segs[part], pk[2:], v)
-		emitted++
-	}
-	if err := it.Err(); err != nil {
+	parts, emitted, err := kvenc.SplitPartitions(sorted, h.partitions)
+	if err != nil {
 		panic(fmt.Errorf("task: corrupt hop spill in map task %d: %w", h.chunk, err))
 	}
-	bytestore.Put(sorted) // the per-partition segments copied out above
-	for pi, s := range segs {
-		if len(s) > 0 {
-			parts[pi] = [][]byte{s}
-		}
-	}
+	bytestore.Put(sorted)
 	h.emitted += emitted
 	h.spills++
 	h.publish(fmt.Sprintf("map%06d.push%d", h.chunk, h.spills), h.spills, parts, emitted)
@@ -117,5 +100,7 @@ func (h *HOPCollector) push() {
 // buffered spill is pushed and no aggregate output remains.
 func (h *HOPCollector) Finish() ([][][]byte, int64, int64) {
 	h.push()
+	bytestore.Put(h.buf)
+	h.buf = nil
 	return nil, h.mapped, h.emitted
 }
